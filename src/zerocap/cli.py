@@ -119,8 +119,13 @@ def _load_graph(path: str) -> Graph:
     return Graph.from_text(text)
 
 
-def _load_json(path: str) -> dict:
-    return json.loads(Path(path).read_text())
+def _load_json(path: str, kind: type = dict) -> dict | list:
+    """Parse a JSON file whose top level must be an object (or a list)."""
+    data = json.loads(Path(path).read_text())
+    if not isinstance(data, kind):
+        expected = "an object" if kind is dict else "an array"
+        raise ValueError(f"{path}: expected {expected} at the top level")
+    return data
 
 
 def _load_ncgraph(path: str) -> NcGraph:
@@ -381,7 +386,7 @@ def _cmd_transform_dsum(args: argparse.Namespace, cfg: CliConfig) -> int:
 def _cmd_transform_conjugate(args: argparse.Namespace, cfg: CliConfig) -> int:
     s = _load_ncgraph(args.system)
     cert = _load_cert(args.certificate)
-    u = ExactMatrix.from_strings(_load_json(args.unitary))
+    u = ExactMatrix.from_strings(_load_json(args.unitary, list))
     out = conjugate_certificate(s, cert, u)
     _write_json(args.output, out.to_json_dict())
     if args.system_out:

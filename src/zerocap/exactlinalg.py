@@ -1,9 +1,11 @@
 """Exact linear algebra over the Gaussian rationals Q(i).
 
 Everything that certifies a bound in this package runs through this module:
-rank by fraction-free elimination, exact linear solves, and a positive
-semidefiniteness test by recursive Schur complements.  Scalars are pairs of
-``fractions.Fraction`` so there is no precision cap and no rounding, ever.
+dense rank, exact linear solves and rank factorization, which share one
+fraction-free Gauss-Jordan kernel over the Gaussian integers Z[i], and a
+positive semidefiniteness test by recursive Schur complements.  Scalars are
+pairs of ``fractions.Fraction`` so there is no precision cap and no
+rounding, ever.
 
 Floating point enters the package only in heuristic searches and the SDP
 solver; results coming from there are always re-checked here before being
@@ -110,7 +112,6 @@ class GaussianRational:
 
 ZERO = GaussianRational(Fraction(0))
 ONE = GaussianRational(Fraction(1))
-I_UNIT = GaussianRational(Fraction(0), Fraction(1))
 
 
 def as_scalar(x: Scalarish) -> GaussianRational:
@@ -153,20 +154,32 @@ def parse_scalar(text: str) -> GaussianRational:
     m = _SCALAR_RE.match(s)
     if not m or (m.group("re") is None and m.group("im") is None):
         raise ValueError(f"not a scalar: {text!r}")
-    re_part = Fraction(m.group("re")) if m.group("re") else Fraction(0)
-    im_txt = m.group("im")
-    if im_txt is None:
-        return GaussianRational(re_part)
-    body = im_txt[:-1]  # strip trailing 'i'
-    if body in ("", "+"):
-        im_part = Fraction(1)
-    elif body == "-":
-        im_part = Fraction(-1)
-    else:
-        if body.endswith("*"):
-            body = body[:-1]
-        im_part = Fraction(body)
-    return GaussianRational(re_part, im_part)
+    # Fraction raises ZeroDivisionError on a zero denominator such as "1/0"
+    try:
+        re_part = Fraction(m.group("re")) if m.group("re") else Fraction(0)
+        im_txt = m.group("im")
+        if im_txt is None:
+            return GaussianRational(re_part)
+        body = im_txt[:-1]  # strip trailing 'i'
+        if body in ("", "+"):
+            im_part = Fraction(1)
+        elif body == "-":
+            im_part = Fraction(-1)
+        else:
+            if body.endswith("*"):
+                body = body[:-1]
+            im_part = Fraction(body)
+        return GaussianRational(re_part, im_part)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar: {text!r}") from None
+
+
+def require_int(data: dict, key: str) -> int:
+    """data[key], which must be an integer (not a bool) in loaded JSON."""
+    value = data[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return value
 
 
 def rationalize(x: float, max_denominator: int) -> Fraction:
@@ -195,12 +208,6 @@ def rationalize(x: float, max_denominator: int) -> Fraction:
         if q > max_denominator:
             return Fraction(p_prev, q_prev)
     return Fraction(p, q)
-
-
-def rationalize_complex(z: complex, max_denominator: int) -> GaussianRational:
-    return GaussianRational(
-        rationalize(z.real, max_denominator), rationalize(z.imag, max_denominator)
-    )
 
 
 # -- matrices --------------------------------------------------------
@@ -415,87 +422,27 @@ class ExactMatrix:
     # -- rank, solve, psd ---------------------------------------------
 
     def rank(self) -> int:
-        """Exact rank by fraction-free (Bareiss) elimination.
-
-        Rows are first scaled to Gaussian-integer form (rank is invariant
-        under nonzero row scaling), then eliminated with the Bareiss
-        update, whose divisions are exact over the integral domain Z[i].
-        Pivot choice is the first nonzero entry in column order, so the
-        computation is deterministic.
-        """
-        M = [list(self.row(i)) for i in range(self.rows)]
-        for r in M:
-            lcm = 1
-            for x in r:
-                lcm = lcm * x.re.denominator // math.gcd(lcm, x.re.denominator)
-                lcm = lcm * x.im.denominator // math.gcd(lcm, x.im.denominator)
-            if lcm != 1:
-                for j, x in enumerate(r):
-                    r[j] = x * lcm
-        prev = ONE
-        rank = 0
-        for c in range(self.cols):
-            pivot_row = None
-            for i in range(rank, self.rows):
-                if not M[i][c].is_zero():
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            M[rank], M[pivot_row] = M[pivot_row], M[rank]
-            piv = M[rank][c]
-            for i in range(rank + 1, self.rows):
-                mic = M[i][c]
-                row_i = M[i]
-                row_p = M[rank]
-                for j in range(c + 1, self.cols):
-                    row_i[j] = (piv * row_i[j] - mic * row_p[j]) / prev
-                row_i[c] = ZERO
-            prev = piv
-            rank += 1
-            if rank == self.rows:
-                break
-        return rank
+        """Exact rank: the pivot count of the fraction-free elimination."""
+        pivots, _, _ = _fraction_free_rref(self.to_list(), self.cols)
+        return len(pivots)
 
     def solve(self, b: "ExactMatrix") -> Optional["ExactMatrix"]:
         """One exact solution of self @ x = b, or None if inconsistent.
 
-        Gauss-Jordan over Q(i); free variables are set to zero.  b may have
-        several columns.  The returned x satisfies self @ x == b exactly.
+        Eliminates [self | b] with pivots in the columns of self only; free
+        variables are set to zero.  b may have several columns.  The
+        returned x satisfies self @ x == b exactly.
         """
         if b.rows != self.rows:
             raise ValueError("rhs row count mismatch")
-        n, m, w = self.rows, self.cols, b.cols
-        A = [list(self.row(i)) + list(b.row(i)) for i in range(n)]
-        total = m + w
-        pivots: list[tuple[int, int]] = []
-        r = 0
-        for c in range(m):
-            pr = None
-            for i in range(r, n):
-                if not A[i][c].is_zero():
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            A[r], A[pr] = A[pr], A[r]
-            piv = A[r][c]
-            A[r] = [x / piv for x in A[r]]
-            for i in range(n):
-                if i != r and not A[i][c].is_zero():
-                    f = A[i][c]
-                    A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-            pivots.append((r, c))
-            r += 1
-            if r == n:
-                break
-        for i in range(r, n):
-            if any(not A[i][j].is_zero() for j in range(m, total)):
-                return None
+        m, w = self.cols, b.cols
+        augmented = [self.row(i) + b.row(i) for i in range(self.rows)]
+        pivots, rows, d = _fraction_free_rref(augmented, m)
+        if any(v != (0, 0) for row in rows[len(pivots):] for v in row[m:]):
+            return None
         x = [[ZERO] * w for _ in range(m)]
-        for pr, pc in pivots:
-            for j in range(w):
-                x[pc][j] = A[pr][m + j]
+        for row, c in zip(rows, pivots):
+            x[c] = [_divide(v, d) for v in row[m:]]
         return ExactMatrix.from_rows(x)
 
     def is_hermitian(self) -> bool:
@@ -540,37 +487,6 @@ class ExactMatrix:
         return True
 
 
-# -- module-level functional aliases ---------------------------------
-
-
-def rank(a: ExactMatrix) -> int:
-    return a.rank()
-
-
-def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return a @ b
-
-
-def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return a.kron(b)
-
-
-def direct_sum(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return a.direct_sum(b)
-
-
-def conj_transpose(a: ExactMatrix) -> ExactMatrix:
-    return a.conj_transpose()
-
-
-def solve_linear(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
-    return a.solve(b)
-
-
-def is_psd(a: ExactMatrix) -> bool:
-    return a.is_psd()
-
-
 def rank_factorization(a: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
     """Exact full-rank factorization a = p @ q with inner dimension rank(a).
 
@@ -579,31 +495,90 @@ def rank_factorization(a: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
     by q.  A zero matrix factors through inner dimension 0 (p is rows x 0).
     """
     n, m = a.rows, a.cols
-    A = [list(a.row(i)) for i in range(n)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m):
-        pr = None
-        for i in range(r, n):
-            if not A[i][c].is_zero():
-                pr = i
-                break
-        if pr is None:
-            continue
-        A[r], A[pr] = A[pr], A[r]
-        piv = A[r][c]
-        A[r] = [x / piv for x in A[r]]
-        for i in range(n):
-            if i != r and not A[i][c].is_zero():
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
+    pivots, rows, d = _fraction_free_rref(a.to_list(), m)
     p = ExactMatrix.from_rows([[a[i, c] for c in pivots] for i in range(n)])
-    q = ExactMatrix.from_rows([A[i] for i in range(r)]) if r else ExactMatrix.zeros(0, m)
+    if not pivots:
+        return p, ExactMatrix.zeros(0, m)
+    q = ExactMatrix.from_rows([[_divide(v, d) for v in row] for row in rows[: len(pivots)]])
     return p, q
+
+
+# -- fraction-free elimination over Z[i] -----------------------------
+#
+# Gaussian integers are (re, im) pairs of Python ints.
+
+GaussianInt = tuple[int, int]
+
+
+def _integer_row(row: Sequence[GaussianRational]) -> list[GaussianInt]:
+    """row scaled by the lcm of its denominators, as Gaussian integers."""
+    scale = math.lcm(*(x.re.denominator for x in row), *(x.im.denominator for x in row))
+    return [
+        (x.re.numerator * (scale // x.re.denominator),
+         x.im.numerator * (scale // x.im.denominator))
+        for x in row
+    ]
+
+
+def _divide(x: GaussianInt, d: GaussianInt) -> GaussianRational:
+    """x / d in Q(i), for d nonzero."""
+    (xr, xi), (dr, di) = x, d
+    norm = dr * dr + di * di
+    return GaussianRational(
+        Fraction(xr * dr + xi * di, norm), Fraction(xi * dr - xr * di, norm)
+    )
+
+
+def _fraction_free_rref(
+    rows: Sequence[Sequence[GaussianRational]], ncols: int
+) -> tuple[list[int], list[list[GaussianInt]], GaussianInt]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) over Z[i].
+
+    Each row is first scaled to Gaussian integers; row scaling changes
+    neither the row space nor the reduced row echelon form (RREF).  Pivots
+    are taken in the first ncols columns only, at the first nonzero entry
+    in column order.  For a pivot p every other row becomes
+    (p * row - f * pivot_row) / prev, with f its entry in the pivot column
+    and prev the previous pivot (1 at the start).  The division is exact
+    in Z[i], since every entry stays a minor of the scaled input.
+
+    Returns (pivots, rows, d): the pivot columns, the eliminated integer
+    rows with the pivot rows first in pivot order, and the last pivot d,
+    which every pivot row carries in its pivot column.  rows[t] / d is row
+    t of the RREF for t < len(pivots); the other rows vanish in the first
+    ncols columns.
+    """
+    out = [_integer_row(row) for row in rows]
+    nrows = len(out)
+    width = len(out[0]) if out else 0
+    pivots: list[int] = []
+    dr, di = 1, 0
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        found = next((i for i in range(r, nrows) if out[i][c] != (0, 0)), None)
+        if found is None:
+            continue
+        out[r], out[found] = out[found], out[r]
+        prow = out[r]
+        pr, pi = prow[c]
+        # division by prev: multiply by conj(prev), then divide by |prev|^2
+        norm = dr * dr + di * di
+        for i, row in enumerate(out):
+            if i == r:
+                continue
+            fr, fi = row[c]
+            # rows below the pivot are zero left of column c
+            for j in range(c if i > r else 0, width):
+                xr, xi = row[j]
+                yr, yi = prow[j]
+                ar = pr * xr - pi * xi - fr * yr + fi * yi
+                ai = pr * xi + pi * xr - fr * yi - fi * yr
+                row[j] = ((ar * dr + ai * di) // norm, (ai * dr - ar * di) // norm)
+        pivots.append(c)
+        dr, di = pr, pi
+    return pivots, out, (dr, di)
 
 
 # -- sparse row echelon over Q(i) ------------------------------------

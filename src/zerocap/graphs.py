@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .exactlinalg import require_int
+
 DEFAULT_VERTEX_CAP = 64
 
 
@@ -101,7 +103,7 @@ class Graph:
 
     @staticmethod
     def from_json_dict(d: dict) -> "Graph":
-        return Graph.from_edges(int(d["n"]), [tuple(e) for e in d["edges"]])
+        return Graph.from_edges(require_int(d, "n"), [tuple(e) for e in d["edges"]])
 
 
 def complete_graph(n: int) -> Graph:

@@ -27,6 +27,7 @@ from .exactlinalg import (
     ONE,
     ZERO,
     format_scalar,
+    require_int,
     parse_scalar,
     rationalize,
 )
@@ -79,7 +80,7 @@ class IndependentSystem:
 
     @staticmethod
     def from_json_dict(d: dict) -> "IndependentSystem":
-        n = int(d["n"])
+        n = require_int(d, "n")
         vecs = tuple(
             ExactMatrix(n, 1, [parse_scalar(s) for s in entries])
             for entries in d["vectors"]

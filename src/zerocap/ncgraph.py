@@ -26,6 +26,7 @@ from .exactlinalg import (
     ZERO,
     as_scalar,
     format_scalar,
+    require_int,
     parse_scalar,
     reduce_row,
     sparse_rref,
@@ -180,7 +181,7 @@ class NcGraph:
 
     @staticmethod
     def from_json_dict(d: dict) -> "NcGraph":
-        n = int(d["n"])
+        n = require_int(d, "n")
         mats = [ExactMatrix.from_strings(b) for b in d["basis"]]
         return NcGraph.span_from_generators(n, mats)
 
@@ -236,8 +237,8 @@ class QuantumChannel:
     @staticmethod
     def from_json_dict(d: dict) -> "QuantumChannel":
         return QuantumChannel(
-            int(d["n_in"]),
-            int(d["n_out"]),
+            require_int(d, "n_in"),
+            require_int(d, "n_out"),
             tuple(ExactMatrix.from_strings(e) for e in d["kraus"]),
         )
 
@@ -278,7 +279,7 @@ class ClassicalChannel:
     @staticmethod
     def from_json_dict(d: dict) -> "ClassicalChannel":
         probs = tuple(tuple(Fraction(p) for p in row) for row in d["probs"])
-        return ClassicalChannel(int(d["inputs"]), int(d["outputs"]), probs)
+        return ClassicalChannel(require_int(d, "inputs"), require_int(d, "outputs"), probs)
 
 
 def from_kraus(channel: QuantumChannel) -> NcGraph:

@@ -33,6 +33,7 @@ from zerocap.certificates import (
     verify_xi_certificate,
 )
 from zerocap.certificates import _four_square
+import zerocap.certificates as certificates_module
 from zerocap.classical import (
     FittingMatrix,
     gram_fitting_matrix,
@@ -513,6 +514,15 @@ def test_tp_map_detects_bad_trace():
     assert err.value.kind == "trace"
 
 
+def test_tp_map_checks_membership_before_trace():
+    swap = ExactMatrix.from_rows([[0, 1], [1, 0]])
+    tp = TpMapCertificate(n=2, k=2, E=(swap,), F=(ExactMatrix.identity(2),))
+    with pytest.raises(VerificationError) as err:
+        verify_tp_map(diagonal_system(2), tp)
+    assert err.value.kind == "block-membership"
+    assert err.value.where == (0, 0)
+
+
 # -- numeric search -----------------------------------------------------------------
 
 
@@ -595,6 +605,16 @@ def test_decide_full_matrix_feasible_with_certificate():
     assert decision.status == "feasible"
     assert decision.certificate is not None
     assert verify_certificate(full_matrix_system(2), decision.certificate) == 1
+
+
+def test_decide_rejects_block_count_before_running_the_engine(monkeypatch):
+    def engine(*args, **kwargs):
+        raise AssertionError("buchberger must not run")
+
+    monkeypatch.setattr(certificates_module, "buchberger", engine)
+    for m in (0, 2):
+        with pytest.raises(ValueError, match="block count"):
+            haemers_exact_decide(full_matrix_system(1), 1, m)
 
 
 def test_decide_times_out_to_unknown():

@@ -131,6 +131,34 @@ def test_nc_verify_cert_failure_exits_1(tmp_path, capsys):
     assert err["kind"] == "shape"
 
 
+def _null_n(span, cert):
+    span["n"] = None
+    return span, cert
+
+
+def _array_span(span, cert):
+    return [span], cert
+
+
+def _zero_denominator(span, cert):
+    cert["C"][0][0] = "1/0"
+    return span, cert
+
+
+@pytest.mark.parametrize("corrupt", [_null_n, _array_span, _zero_denominator])
+def test_nc_verify_cert_malformed_input_exits_2(corrupt, tmp_path, capsys):
+    span, cert = corrupt(
+        scalar_identity_system(2).to_json_dict(), identity_certificate(2).to_json_dict()
+    )
+    span_path, cert_path = tmp_path / "span.json", tmp_path / "cert.json"
+    span_path.write_text(json.dumps(span))
+    cert_path.write_text(json.dumps(cert))
+    assert main(["nc", "verify-cert", str(span_path), str(cert_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_transform_dsum_and_tensor(tmp_path, capsys):
     d2 = _write_span(tmp_path, "d2.json", diagonal_system(2))
     d3 = _write_span(tmp_path, "d3.json", diagonal_system(3))

@@ -20,6 +20,7 @@ from zerocap.exactlinalg import (
     as_scalar,
     format_scalar,
     parse_scalar,
+    rank_factorization,
     rationalize,
     reduce_row,
     sparse_rref,
@@ -88,6 +89,29 @@ def rand_matrix(rng, rows, cols, real=False):
     return ExactMatrix.from_rows(
         [[rand_scalar(rng, real) for _ in range(cols)] for _ in range(rows)]
     )
+
+
+def rand_low_rank(rng, rows, cols, rank):
+    if rank == 0:
+        return ExactMatrix.zeros(rows, cols)
+    return rand_matrix(rng, rows, rank) @ rand_matrix(rng, rank, cols)
+
+
+def elimination_matrices(seed):
+    """Complex wide, tall and square matrices of every rank, zero included."""
+    rng = random.Random(seed)
+    mats = [ExactMatrix.zeros(3, 4)]
+    for rows, cols in [(2, 5), (5, 2), (3, 4), (4, 3), (4, 4)]:
+        for _ in range(5):
+            mats.append(rand_low_rank(rng, rows, cols, rng.randint(0, min(rows, cols))))
+    return mats
+
+
+def pivot_columns_oracle(m: ExactMatrix) -> list[int]:
+    # column c is a pivot iff it is independent of the columns before it
+    rows = range(m.rows)
+    ranks = [rank_oracle(m.submatrix(rows, range(c))) for c in range(m.cols + 1)]
+    return [c for c in range(m.cols) if ranks[c + 1] > ranks[c]]
 
 
 # --- scalars ---------------------------------------------------------
@@ -295,6 +319,48 @@ def test_solve_underdetermined_particular_solution():
     b = ExactMatrix.column([2])
     x = a.solve(b)
     assert x is not None and a @ x == b
+
+
+def test_solve_sets_free_variables_to_zero():
+    rng = random.Random(37)
+    for a in elimination_matrices(37):
+        x_true = rand_matrix(rng, a.cols, 2)
+        b = a @ x_true
+        x = a.solve(b)
+        assert x is not None and a @ x == b
+        pivots = pivot_columns_oracle(a)
+        for c in range(a.cols):
+            if c not in pivots:
+                assert x.row(c) == (ZERO, ZERO)
+
+
+def test_solve_inconsistent_complex_systems_return_none():
+    a = ExactMatrix.from_rows([[1, i_], [i_, -1]])  # row 2 = i * row 1
+    assert a.solve(ExactMatrix.column([1, 0])) is None
+    assert a.solve(ExactMatrix.column([1, i_])) is not None
+    rng = random.Random(41)
+    for a in elimination_matrices(41):
+        b = rand_matrix(rng, a.rows, 1)
+        augmented = ExactMatrix.from_rows([a.row(i) + b.row(i) for i in range(a.rows)])
+        consistent = rank_oracle(augmented) == rank_oracle(a)
+        assert (a.solve(b) is not None) == consistent
+
+
+# --- rank factorization ----------------------------------------------
+
+
+def test_rank_factorization_is_the_canonical_one():
+    for a in elimination_matrices(43):
+        p, q = rank_factorization(a)
+        r = rank_oracle(a)
+        assert p.shape == (a.rows, r) and q.shape == (r, a.cols)
+        assert p @ q == a
+        pivots = pivot_columns_oracle(a)
+        assert p == a.submatrix(range(a.rows), pivots)
+        # q is in reduced row echelon form with its leading ones at the pivots
+        for t, c in enumerate(pivots):
+            assert all(q[t, j].is_zero() for j in range(c))
+            assert [q[u, c] for u in range(r)] == [ONE if u == t else ZERO for u in range(r)]
 
 
 # --- is_psd ----------------------------------------------------------
