@@ -148,6 +148,8 @@ def format_scalar(z: Scalarish) -> str:
 
 def parse_scalar(text: str) -> GaussianRational:
     """Parse the canonical scalar format (and mild variants like "i", "-i")."""
+    if not isinstance(text, str):
+        raise ValueError(f"scalar must be a string, got {text!r}")
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty scalar string")
@@ -239,7 +241,9 @@ class ExactMatrix:
         return cls(nrows, ncols, flat)
 
     @classmethod
-    def from_strings(cls, data: Sequence[Sequence[str]]) -> "ExactMatrix":
+    def from_strings(cls, data: list[list[str]]) -> "ExactMatrix":
+        if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+            raise ValueError("matrix must be a list of lists of scalar strings")
         return cls.from_rows([[parse_scalar(s) for s in row] for row in data])
 
     @classmethod

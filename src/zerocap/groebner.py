@@ -21,6 +21,7 @@ no-common-root verdict is therefore an exact infeasibility proof.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re as _re
 import time
@@ -404,10 +405,12 @@ def buchberger(
 ) -> IdealDecision:
     """Decide whether gens have a common complex root, with certificates.
 
-    Normal pair selection (smallest lcm in the chosen order), product and
-    chain criteria, cofactor tracking throughout.  degree_cap bounds the
-    degree of any new basis polynomial and time_budget the wall clock;
-    exceeding either yields status "timeout", which decides nothing.
+    Normal pair selection: pairs come off a heap keyed on (order key of
+    lcm, (i, j)), so the smallest lcm in the chosen order goes first and
+    ties break on the index pair.  Product and chain criteria, cofactor
+    tracking throughout.  degree_cap bounds the degree of any new basis
+    polynomial and time_budget the wall clock; exceeding either yields
+    status "timeout", which decides nothing.
     """
     if order not in ORDER_KEYS:
         raise ValueError(f"unknown monomial order {order!r}")
@@ -458,16 +461,20 @@ def buchberger(
         if cof is not None:
             return decision("no-common-root", basis, cof, pairs_done)
 
-    pending = {
-        (i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))
-    }
+    # leading monomials never change once in the basis, so each pair's
+    # heap entry is computed once, when the pair is created
+    pending = [
+        (key(mon_lcm(lms[i], lms[j])), (i, j))
+        for i in range(len(basis))
+        for j in range(i + 1, len(basis))
+    ]
+    heapq.heapify(pending)
     done: set[tuple[int, int]] = set()
 
     while pending:
         if time.monotonic() - t0 > time_budget:
             return decision("timeout", basis, None, pairs_done)
-        pair = min(pending, key=lambda ij: (key(mon_lcm(lms[ij[0]], lms[ij[1]])), ij))
-        pending.discard(pair)
+        pair = heapq.heappop(pending)[1]
         done.add(pair)
         i, j = pair
         pairs_done += 1
@@ -510,8 +517,9 @@ def buchberger(
         if cof is not None:
             return decision("no-common-root", basis, cof, pairs_done)
         new_idx = len(basis) - 1
+        new_lm = lms[new_idx]
         for t in range(new_idx):
-            pending.add((t, new_idx))
+            heapq.heappush(pending, (key(mon_lcm(lms[t], new_lm)), (t, new_idx)))
     return decision("has-common-root-or-unknown", basis, None, pairs_done)
 
 

@@ -278,7 +278,10 @@ class ClassicalChannel:
 
     @staticmethod
     def from_json_dict(d: dict) -> "ClassicalChannel":
-        probs = tuple(tuple(Fraction(p) for p in row) for row in d["probs"])
+        try:
+            probs = tuple(tuple(Fraction(p) for p in row) for row in d["probs"])
+        except (TypeError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed probability in 'probs': {exc}") from None
         return ClassicalChannel(require_int(d, "inputs"), require_int(d, "outputs"), probs)
 
 

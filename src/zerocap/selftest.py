@@ -464,18 +464,23 @@ def check_exact_decision_engine(seed: int = 0) -> CheckResult:
                 problems.append(f"{label} m={m}: cofactor combination is not 1")
             refuted.append(f"{label} m={m} in {seconds:.1f}s")
     full = full_matrix_system(2)
+    t0 = time.monotonic()
     decision = haemers_exact_decide(full, 1, 2, time_budget=60.0, seed=seed)
+    full_cost = (
+        f"{decision.engine.pairs_processed} S-pairs in "
+        f"{time.monotonic() - t0:.1f}s of the 60s budget"
+    )
     searched = haemers_upper_search(full, 1, m_schedule=[2], seed=seed)
     if decision.status != "feasible":
-        problems.append(f"full algebra: decide status {decision.status}")
+        problems.append(f"full algebra: decide status {decision.status} ({full_cost})")
     elif verify_certificate(full, decision.certificate) != 1:
         problems.append("full algebra: extracted certificate rank is not 1")
     if searched is None:
         problems.append("full algebra: numeric search disagreed (found nothing)")
     detail = (
         f"rank 1 refuted with verified cofactors ({', '.join(refuted)}); "
-        "full 2x2 algebra decided feasible with a verified rank-1 certificate, "
-        "agreeing with the numeric search"
+        f"full 2x2 algebra decided feasible ({full_cost}) with a verified rank-1 "
+        "certificate, agreeing with the numeric search"
         if not problems
         else "; ".join(problems)
     )

@@ -587,22 +587,31 @@ def test_lower_bound_diagonal_witness():
 # -- exact decision -------------------------------------------------------------------
 
 
+# The pair counts and basis sizes pin the S-pair order: the order decides
+# which S-polynomials get reduced and when the chain criterion fires.
+
+
 def test_decide_scalar_identity_infeasible():
-    for m in (1, 2):
+    for m, pairs, basis_size in ((1, 11, 10), (2, 215, 42)):
         decision = haemers_exact_decide(scalar_identity_system(2), 1, m)
         assert decision.status == "infeasible"
         assert decision.engine.status == "no-common-root"
+        assert decision.engine.pairs_processed == pairs
+        assert len(decision.engine.basis) == basis_size
 
 
 def test_decide_diagonal_infeasible():
-    for m in (1, 2):
+    for m, pairs, basis_size in ((1, 11, 10), (2, 141, 26)):
         decision = haemers_exact_decide(diagonal_system(2), 1, m)
         assert decision.status == "infeasible"
+        assert decision.engine.pairs_processed == pairs
+        assert len(decision.engine.basis) == basis_size
 
 
 def test_decide_full_matrix_feasible_with_certificate():
     decision = haemers_exact_decide(full_matrix_system(2), 1, 2)
     assert decision.status == "feasible"
+    assert decision.engine.pairs_processed == 3486
     assert decision.certificate is not None
     assert verify_certificate(full_matrix_system(2), decision.certificate) == 1
 

@@ -145,7 +145,20 @@ def _zero_denominator(span, cert):
     return span, cert
 
 
-@pytest.mark.parametrize("corrupt", [_null_n, _array_span, _zero_denominator])
+def _number_entry(span, cert):
+    cert["C"][0][0] = 5
+    return span, cert
+
+
+def _factor_not_a_matrix(span, cert):
+    cert["C"] = 5
+    return span, cert
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_null_n, _array_span, _zero_denominator, _number_entry, _factor_not_a_matrix],
+)
 def test_nc_verify_cert_malformed_input_exits_2(corrupt, tmp_path, capsys):
     span, cert = corrupt(
         scalar_identity_system(2).to_json_dict(), identity_certificate(2).to_json_dict()
@@ -154,6 +167,16 @@ def test_nc_verify_cert_malformed_input_exits_2(corrupt, tmp_path, capsys):
     span_path.write_text(json.dumps(span))
     cert_path.write_text(json.dumps(cert))
     assert main(["nc", "verify-cert", str(span_path), str(cert_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_nc_build_classical_zero_denominator_exits_2(tmp_path, capsys):
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps({"inputs": 1, "outputs": 2, "probs": [["1/0"], ["0"]]}))
+    out = tmp_path / "span.json"
+    assert main(["nc", "build", "--from-classical", str(path), "-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and err.startswith("error:")
     assert "Traceback" not in err
