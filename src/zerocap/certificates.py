@@ -29,7 +29,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .classical import FittingMatrix, verify_fitting
+from .classical import (
+    FittingMatrix,
+    best_fitting_matrix,
+    unit_diagonal_form,
+    verify_fitting,
+)
 from .graphs import Graph, independence_number
 from .exactlinalg import (
     ExactMatrix,
@@ -37,6 +42,7 @@ from .exactlinalg import (
     ONE,
     ZERO,
     require_int,
+    require_list,
     rank_factorization,
     rationalize,
 )
@@ -177,8 +183,8 @@ class TpMapCertificate:
         return cls(
             n=require_int(data, "n"),
             k=require_int(data, "k"),
-            E=tuple(ExactMatrix.from_strings(m) for m in data["E"]),
-            F=tuple(ExactMatrix.from_strings(m) for m in data["F"]),
+            E=tuple(ExactMatrix.from_strings(m) for m in require_list(data, "E")),
+            F=tuple(ExactMatrix.from_strings(m) for m in require_list(data, "F")),
         )
 
 
@@ -375,6 +381,28 @@ def lift_graph_certificate(fm: FittingMatrix) -> HaemersCertificate:
     return HaemersCertificate(
         n=n, m=n, k=r, C=ExactMatrix.from_rows(c_rows), D=ExactMatrix.from_rows(d_rows)
     )
+
+
+def constructed_certificate(s: NcGraph) -> tuple[HaemersCertificate, str]:
+    """The lowest-rank certificate the construction library gives for s.
+
+    Returns the certificate and how it was made: "full-algebra" (rank 1)
+    when s is all of M_n, "identity" (rank n) otherwise, or
+    "fitting-lift" when s is a graph span S_G and the best fitting matrix
+    of G, lifted, has lower rank.  The first candidate wins a tie.  No
+    search runs; the caller verifies the result against s, which fails
+    only when s lacks the identity and so has no certificate at all.
+    """
+    if s.is_full():
+        best = full_matrix_certificate(s.n), "full-algebra"
+    else:
+        best = identity_certificate(s.n), "identity"
+    g = s.as_graph()
+    if g is not None:
+        rank, fm = best_fitting_matrix(g)
+        if rank < best[0].k:
+            best = lift_graph_certificate(unit_diagonal_form(fm)), "fitting-lift"
+    return best
 
 
 def project_to_graph_certificate(
@@ -783,32 +811,26 @@ def _als_half_step(
     """
     nn = n * n
     eye_n = np.eye(n)
+    blocks = np.stack(fixed_blocks)
+    unk = n * k
+    if left_update:  # kron(I_n, D_j^T) for every j
+        coef = np.einsum("ac,jdb->jabcd", eye_n, blocks).reshape(m, nn, unk)
+    else:  # kron(Z_i, I_n) for every i
+        coef = np.einsum("jac,bd->jabcd", blocks, eye_n).reshape(m, nn, unk)
+    top = m * m * nn  # membership rows; the last nn rows are the trace
+    a_mat = np.zeros((top + nn, m * unk), dtype=complex)
+    # row block (i, j) holds q @ coef of the fixed block in the column block
+    # of the unknown one: Z_i from D_j on the left step, D_j from Z_i on the right
+    i, j = np.indices((m, m))
+    unknown, fixed = (i, j) if left_update else (j, i)
+    a_mat[:top].reshape(m, m, nn, m, unk)[i, j, :, unknown, :] = (q @ coef)[fixed]
+    a_mat[top:].reshape(nn, m, unk)[:] = coef.transpose(1, 0, 2)
+    rhs = np.zeros(top + nn, dtype=complex)
+    rhs[top:] = eye_n.reshape(-1)
+    sol = np.linalg.lstsq(a_mat, rhs, rcond=None)[0].reshape(m, unk)
     if left_update:
-        unk = n * k
-        coef = [np.kron(eye_n, blk.T) for blk in fixed_blocks]  # from D_j
-    else:
-        unk = k * n
-        coef = [np.kron(blk, eye_n) for blk in fixed_blocks]  # from Z_i
-    rows = m * m * nn + nn
-    a_mat = np.zeros((rows, m * unk), dtype=complex)
-    rhs = np.zeros(rows, dtype=complex)
-    r = 0
-    for i in range(m):
-        for j in range(m):
-            # the unknown block is Z_i on the left step, D_j on the right
-            block, col = (coef[j], i) if left_update else (coef[i], j)
-            a_mat[r : r + nn, col * unk : (col + 1) * unk] = q @ block
-            r += nn
-    for i in range(m):
-        a_mat[r : r + nn, i * unk : (i + 1) * unk] = coef[i]
-    rhs[r : r + nn] = eye_n.reshape(-1)
-    sol = np.linalg.lstsq(a_mat, rhs, rcond=None)[0]
-    if left_update:
-        z = [sol[i * unk : (i + 1) * unk].reshape(n, k) for i in range(m)]
-        return np.concatenate([zi.conj().T for zi in z], axis=1)
-    return np.concatenate(
-        [sol[j * unk : (j + 1) * unk].reshape(k, n) for j in range(m)], axis=1
-    )
+        return np.concatenate([zi.reshape(n, k).conj().T for zi in sol], axis=1)
+    return np.concatenate([dj.reshape(k, n) for dj in sol], axis=1)
 
 
 def _rationalize_matrix(arr: np.ndarray, cap: int) -> ExactMatrix:

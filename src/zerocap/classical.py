@@ -410,16 +410,34 @@ def _representation_library(g: Graph) -> list[ExactMatrix]:
     return cols
 
 
+def best_fitting_matrix(g: Graph) -> tuple[int, FittingMatrix]:
+    """The lowest-rank fitting matrix of the construction library, with its rank.
+
+    Candidates, in order: the Gram matrix of the library's orthogonal
+    representation (nonzero diagonal), then the circulant sweep when the
+    graph is circulant.  The lowest verified rank wins and the first
+    candidate wins a tie.  Row-scale with unit_diagonal_form before
+    lifting the winner to a span certificate.
+    """
+    candidates = [gram_fitting_matrix(g, _representation_library(g))]
+    circulant = circulant_fitting_search(g)
+    if circulant is not None:
+        candidates.append(circulant)
+    ranked = sorted((verify_fitting(fm), i) for i, fm in enumerate(candidates))
+    rank, best_idx = ranked[0]
+    return rank, candidates[best_idx]
+
+
 def bounds_report(g: Graph, *, theta_tol: float = 1e-7, power_cap: int = 64) -> ClassicalBounds:
     """Assemble α, ϑ, and certificate-backed 𝓗 and ξ̄ bounds for a graph.
 
     The 𝓗 lower bound is max(α, ⌈√α(G⊠G)⌉) — the strong-product root is a
     capacity lower bound and 𝓗 dominates the capacity — computed only when
     the squared graph fits under the branch-and-bound vertex cap.  Upper
-    bounds come from the construction library: the Gram matrix of the best
-    known orthogonal representation (which specializes to the all-ones
-    matrix on cliques and the identity on empty graphs) and a circulant
-    sweep when the graph is circulant.
+    bounds come from the construction library (best_fitting_matrix): the
+    Gram matrix of the best known orthogonal representation (which
+    specializes to the all-ones matrix on cliques and the identity on empty
+    graphs) and a circulant sweep when the graph is circulant.
     """
     alpha, _ = independence_number(g)
     theta = lovasz_theta(g, tol=theta_tol).value
@@ -433,14 +451,7 @@ def bounds_report(g: Graph, *, theta_tol: float = 1e-7, power_cap: int = 64) -> 
 
     representation = _representation_library(g)
     xi_upper = orthogonal_rank_verify(g, representation)
-
-    candidates = [gram_fitting_matrix(g, representation)]
-    circulant = circulant_fitting_search(g)
-    if circulant is not None:
-        candidates.append(circulant)
-    ranked = sorted((verify_fitting(fm), i) for i, fm in enumerate(candidates))
-    upper, best_idx = ranked[0]
-    fitting = candidates[best_idx]
+    upper, fitting = best_fitting_matrix(g)
 
     consistent = alpha <= lower <= upper <= xi_upper and alpha <= theta + 1e-4
     return ClassicalBounds(

@@ -19,6 +19,16 @@ JSON diagnostic on standard error; success exits 0.
 Numbers printed with provenance ``certificate:<path>`` are re-derived
 from the serialized file alone — the in-memory object that produced the
 file is never trusted for the printed value.
+
+``nc haemers`` constructs before it searches: it takes the lowest-rank of
+the full-algebra certificate (when the span is all of M_n), the identity,
+and for a graph span the lifted best fitting matrix, then runs the float
+search only for k below that rank.  Its output names the method that
+gave the upper bound (search, fitting-lift, identity or full-algebra).
+The pentagon, for example:
+
+    zerocap nc build --from-graph c5.dimacs -o sc5.json
+    zerocap nc haemers sc5.json --m-schedule 1,2      # H in [2, 3], fitting-lift
 """
 
 from __future__ import annotations
@@ -37,12 +47,12 @@ from .certificates import (
     VerificationError,
     cohomomorphism_apply,
     conjugate_certificate,
+    constructed_certificate,
     direct_sum_certificate,
     from_tp_map,
     haemers_exact_decide,
     haemers_lower,
     haemers_upper_search,
-    identity_certificate,
     lift_graph_certificate,
     project_to_graph_certificate,
     tensor_certificate,
@@ -280,9 +290,11 @@ def _cmd_nc_haemers(args: argparse.Namespace, cfg: CliConfig) -> int:
     lower = haemers_lower(s, seed=args.seed)
     schedule = _parse_schedule(args.m_schedule)
     k_max = args.k_max if args.k_max is not None else s.n
-    cert = None
-    for k in range(lower.value, k_max + 1):
-        cert = haemers_upper_search(
+    # construct first; the search can only help below the constructed rank
+    cert, method = constructed_certificate(s)
+    rank = verify_certificate(s, cert)
+    for k in range(lower.value, min(k_max, rank - 1) + 1):
+        found = haemers_upper_search(
             s,
             k,
             m_schedule=schedule,
@@ -290,11 +302,10 @@ def _cmd_nc_haemers(args: argparse.Namespace, cfg: CliConfig) -> int:
             seed=args.seed,
             m_cap=cfg.m_cap,
         )
-        if cert is not None:
+        if found is not None:
+            cert, method = found, "search"
+            rank = verify_certificate(s, cert)
             break
-    if cert is None:
-        cert = identity_certificate(s.n)  # always feasible for an operator system
-    rank = verify_certificate(s, cert)
 
     exact_notes: list[str] = []
     if args.exact_tiny:
@@ -309,7 +320,7 @@ def _cmd_nc_haemers(args: argparse.Namespace, cfg: CliConfig) -> int:
                 )
                 verdicts.append(f"m={m}: {decision.status}")
                 if decision.certificate is not None:
-                    cert = decision.certificate
+                    cert, method = decision.certificate, "search"
                     rank = verify_certificate(s, cert)
             exact_notes.append(f"rank {k}: " + ", ".join(verdicts))
 
@@ -327,14 +338,15 @@ def _cmd_nc_haemers(args: argparse.Namespace, cfg: CliConfig) -> int:
             "rank": reloaded_rank,
             "k": cert.k,
             "m": cert.m,
+            "method": method,
             "provenance": f"certificate:{cert_path}",
         },
         "exact_tiny": exact_notes,
     }
     lines = [
         f"H >= {lower.value} ({lower.justification})",
-        f"H <= {reloaded_rank} (certificate rank {reloaded_rank}, m={cert.m})"
-        f" -> {cert_path}",
+        f"H <= {reloaded_rank} ({method}, certificate rank {reloaded_rank},"
+        f" m={cert.m}) -> {cert_path}",
     ]
     lines.extend(f"exact: {note}" for note in exact_notes)
     _emit(args, payload, "\n".join(lines))

@@ -184,6 +184,14 @@ def require_int(data: dict, key: str) -> int:
     return value
 
 
+def require_list(data: dict, key: str) -> list:
+    """data[key], which must be a JSON array in loaded JSON."""
+    value = data[key]
+    if not isinstance(value, list):
+        raise ValueError(f"{key!r} must be a list, got {value!r}")
+    return value
+
+
 def rationalize(x: float, max_denominator: int) -> Fraction:
     """Last continued-fraction convergent of x with denominator <= cap.
 

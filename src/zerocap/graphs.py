@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .exactlinalg import require_int
+from .exactlinalg import require_int, require_list
 
 DEFAULT_VERTEX_CAP = 64
 
@@ -103,7 +103,15 @@ class Graph:
 
     @staticmethod
     def from_json_dict(d: dict) -> "Graph":
-        return Graph.from_edges(require_int(d, "n"), [tuple(e) for e in d["edges"]])
+        if not isinstance(d, dict):
+            raise ValueError(f"a graph must be a JSON object, got {d!r}")
+        n = require_int(d, "n")
+        edges = require_list(d, "edges")
+        for e in edges:
+            if not (isinstance(e, list) and len(e) == 2
+                    and all(isinstance(v, int) and not isinstance(v, bool) for v in e)):
+                raise ValueError(f"each edge must be a pair of integers, got {e!r}")
+        return Graph.from_edges(n, edges)
 
 
 def complete_graph(n: int) -> Graph:

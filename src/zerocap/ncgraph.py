@@ -27,6 +27,7 @@ from .exactlinalg import (
     as_scalar,
     format_scalar,
     require_int,
+    require_list,
     parse_scalar,
     reduce_row,
     sparse_rref,
@@ -182,7 +183,7 @@ class NcGraph:
     @staticmethod
     def from_json_dict(d: dict) -> "NcGraph":
         n = require_int(d, "n")
-        mats = [ExactMatrix.from_strings(b) for b in d["basis"]]
+        mats = [ExactMatrix.from_strings(b) for b in require_list(d, "basis")]
         return NcGraph.span_from_generators(n, mats)
 
 
@@ -239,7 +240,7 @@ class QuantumChannel:
         return QuantumChannel(
             require_int(d, "n_in"),
             require_int(d, "n_out"),
-            tuple(ExactMatrix.from_strings(e) for e in d["kraus"]),
+            tuple(ExactMatrix.from_strings(e) for e in require_list(d, "kraus")),
         )
 
 

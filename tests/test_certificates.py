@@ -1,5 +1,6 @@
 """Rank certificates: verification, transformations, search, exact decision."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -14,6 +15,7 @@ from zerocap.certificates import (
     cohomomorphism_apply,
     compression_lower_bound,
     conjugate_certificate,
+    constructed_certificate,
     direct_sum_certificate,
     from_tp_map,
     full_matrix_certificate,
@@ -551,6 +553,87 @@ def test_search_is_reproducible():
     a = haemers_upper_search(s, 1, seed=9)
     b = haemers_upper_search(s, 1, seed=9)
     assert a == b
+
+
+def _als_half_step_loop(fixed_blocks, q, n, m, k, left_update):
+    """The per-block loop _als_half_step replaced, kept as its oracle."""
+    nn = n * n
+    eye_n = np.eye(n)
+    if left_update:
+        unk = n * k
+        coef = [np.kron(eye_n, blk.T) for blk in fixed_blocks]
+    else:
+        unk = k * n
+        coef = [np.kron(blk, eye_n) for blk in fixed_blocks]
+    rows = m * m * nn + nn
+    a_mat = np.zeros((rows, m * unk), dtype=complex)
+    rhs = np.zeros(rows, dtype=complex)
+    r = 0
+    for i in range(m):
+        for j in range(m):
+            block, col = (coef[j], i) if left_update else (coef[i], j)
+            a_mat[r : r + nn, col * unk : (col + 1) * unk] = q @ block
+            r += nn
+    for i in range(m):
+        a_mat[r : r + nn, i * unk : (i + 1) * unk] = coef[i]
+    rhs[r : r + nn] = eye_n.reshape(-1)
+    sol = np.linalg.lstsq(a_mat, rhs, rcond=None)[0]
+    if left_update:
+        z = [sol[i * unk : (i + 1) * unk].reshape(n, k) for i in range(m)]
+        return np.concatenate([zi.conj().T for zi in z], axis=1)
+    return np.concatenate(
+        [sol[j * unk : (j + 1) * unk].reshape(k, n) for j in range(m)], axis=1
+    )
+
+
+@pytest.mark.parametrize(
+    "n, m, k", [(3, 1, 2), (3, 2, 2), (5, 2, 3), (5, 1, 3), (2, 4, 1), (3, 3, 3)]
+)
+def test_als_half_step_matches_the_block_loop_bitwise(n, m, k):
+    span = {
+        2: diagonal_system(2),
+        3: corner_family(Fraction(1, 2)),
+        5: NcGraph.from_graph(cycle_graph(5)),
+    }[n]
+    q = np.eye(n * n) - certificates_module._span_projector(span)
+    rng = np.random.default_rng(100 * n + 10 * m + k)
+    for left_update, shape in ((False, (n, k)), (True, (k, n))):
+        blocks = [
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for _ in range(m)
+        ]
+        got = certificates_module._als_half_step(blocks, q, n, m, k, left_update)
+        want = _als_half_step_loop(blocks, q, n, m, k, left_update)
+        assert got.shape == want.shape == (k, m * n)
+        assert np.array_equal(got, want)
+
+
+def test_search_certificate_is_pinned():
+    cert = haemers_upper_search(
+        corner_family(Fraction(1, 2)), 3, m_schedule=[1], seed=0
+    )
+    text = json.dumps(cert.to_json_dict(), sort_keys=True)
+    assert cert.C.to_strings()[0] == ["-8/9-3/10*i", "-15/16+29/15*i", "-4/5-4/13*i"]
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e92143c0e81cda23ba4c31d00a15e6c5116084d7a1415b4d947fefe74c109da3"
+    )
+
+
+def test_constructed_certificate_picks_the_lowest_rank():
+    c5 = NcGraph.from_graph(cycle_graph(5))
+    cases = [
+        (c5, "fitting-lift", 3, 5),
+        (corner_family(Fraction(1, 2)), "identity", 3, 1),
+        (full_matrix_system(2), "full-algebra", 1, 2),
+        (NcGraph.from_graph(complete_graph(3)), "full-algebra", 1, 3),
+        # the lifted identity fitting matrix ties with the identity: first wins
+        (NcGraph.from_graph(empty_graph(3)), "identity", 3, 1),
+    ]
+    for s, method, rank, m in cases:
+        cert, how = constructed_certificate(s)
+        assert how == method
+        assert (cert.k, cert.m) == (rank, m)
+        assert verify_certificate(s, cert) == rank
 
 
 def test_search_validates_inputs():

@@ -1,18 +1,30 @@
 """CLI behavior: exit codes, output shapes, and disk-backed re-verification."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from zerocap.certificates import (
     HaemersCertificate,
+    haemers_upper_search,
     identity_certificate,
+    to_tp_map,
     verify_certificate,
 )
 from zerocap.classical import FittingMatrix, verify_fitting
 from zerocap.cli import main
 from zerocap.graphs import Graph, cycle_graph
-from zerocap.ncgraph import NcGraph, diagonal_system, scalar_identity_system
+import zerocap.cli as cli_module
+from zerocap.exactlinalg import ExactMatrix
+from zerocap.ncgraph import (
+    NcGraph,
+    QuantumChannel,
+    corner_family,
+    diagonal_system,
+    full_matrix_system,
+    scalar_identity_system,
+)
 
 
 @pytest.fixture
@@ -29,16 +41,18 @@ def ci2_file(tmp_path):
     return str(path)
 
 
-def _write_span(tmp_path, name, span):
+def _write_json(tmp_path, name, payload):
     path = tmp_path / name
-    path.write_text(json.dumps(span.to_json_dict()))
+    path.write_text(json.dumps(payload))
     return str(path)
+
+
+def _write_span(tmp_path, name, span):
+    return _write_json(tmp_path, name, span.to_json_dict())
 
 
 def _write_cert(tmp_path, name, cert):
-    path = tmp_path / name
-    path.write_text(json.dumps(cert.to_json_dict()))
-    return str(path)
+    return _write_json(tmp_path, name, cert.to_json_dict())
 
 
 def test_graph_alpha(c5_file, capsys):
@@ -111,9 +125,67 @@ def test_nc_haemers_json_and_seed_stability(ci2_file, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["lower"]["value"] == 2
     assert payload["upper"]["rank"] == 2
+    assert payload["upper"]["method"] == "identity"
     assert payload["upper"]["provenance"] == f"certificate:{a}"
     assert main(["nc", "haemers", ci2_file, "--cert-out", str(b), "--json"]) == 0
     assert a.read_text() == b.read_text()
+
+
+def _nc_haemers_json(span_path, tmp_path, capsys, *extra):
+    cert_out = tmp_path / "span-cert.json"
+    argv = ["nc", "haemers", span_path, "--json", "--cert-out", str(cert_out)]
+    assert main([*argv, *extra]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    return payload["lower"]["value"], payload["upper"], cert_out
+
+
+def _record_search(monkeypatch):
+    calls = []
+
+    def recording(s, k, **kwargs):
+        calls.append(k)
+        return haemers_upper_search(s, k, **kwargs)
+
+    monkeypatch.setattr(cli_module, "haemers_upper_search", recording)
+    return calls
+
+
+def test_nc_haemers_pentagon_lifts_the_fitting_matrix(c5_file, tmp_path, capsys):
+    span = tmp_path / "c5.json"
+    assert main(["nc", "build", "--from-graph", c5_file, "-o", str(span)]) == 0
+    capsys.readouterr()
+    lower, upper, cert_out = _nc_haemers_json(
+        str(span), tmp_path, capsys, "--m-schedule", "1,2"
+    )
+    assert [lower, upper["rank"]] == [2, 3]
+    assert upper["method"] == "fitting-lift"
+    assert (upper["k"], upper["m"]) == (3, 5)
+    assert upper["provenance"] == f"certificate:{cert_out}"
+    assert main(["nc", "verify-cert", str(span), str(cert_out)]) == 0
+    assert "rank 3, OK" in capsys.readouterr().out
+    assert main(["nc", "haemers", str(span), "--m-schedule", "1,2",
+                 "--cert-out", str(cert_out)]) == 0
+    assert "H <= 3 (fitting-lift, certificate rank 3, m=5)" in capsys.readouterr().out
+
+
+def test_nc_haemers_searches_only_below_the_constructed_rank(
+    tmp_path, capsys, monkeypatch
+):
+    calls = _record_search(monkeypatch)
+    span = _write_span(tmp_path, "corner.json", corner_family(Fraction(1, 2)))
+    lower, upper, _ = _nc_haemers_json(span, tmp_path, capsys, "--m-schedule", "1,2")
+    assert [lower, upper["rank"]] == [2, 3]
+    assert upper["method"] == "identity"
+    assert calls == [2]
+
+
+def test_nc_haemers_full_algebra_needs_no_search(tmp_path, capsys, monkeypatch):
+    calls = _record_search(monkeypatch)
+    span = _write_span(tmp_path, "full.json", full_matrix_system(2))
+    lower, upper, _ = _nc_haemers_json(span, tmp_path, capsys)
+    assert [lower, upper["rank"]] == [1, 1]
+    assert upper["method"] == "full-algebra"
+    assert calls == []
 
 
 def test_nc_verify_cert_ok(ci2_file, tmp_path, capsys):
@@ -170,6 +242,50 @@ def test_nc_verify_cert_malformed_input_exits_2(corrupt, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and err.startswith("error:")
     assert "Traceback" not in err
+
+
+def _assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def _span_basis_not_a_list(tmp_path):
+    span = scalar_identity_system(2).to_json_dict()
+    span["basis"] = 5
+    cert = _write_cert(tmp_path, "cert.json", identity_certificate(2))
+    return ["nc", "verify-cert", _write_json(tmp_path, "span.json", span), cert]
+
+
+def _tpmap_factors_not_a_list(tmp_path):
+    s = scalar_identity_system(2)
+    tp = to_tp_map(s, identity_certificate(2)).to_json_dict()
+    tp["E"] = 5
+    span = _write_span(tmp_path, "span.json", s)
+    return ["nc", "verify-cert", span, _write_json(tmp_path, "tp.json", tp)]
+
+
+def _kraus_not_a_list(tmp_path):
+    chan = QuantumChannel(2, 2, (ExactMatrix.identity(2),)).to_json_dict()
+    chan["kraus"] = 5
+    path = _write_json(tmp_path, "chan.json", chan)
+    return ["nc", "build", "--from-kraus", path, "-o", str(tmp_path / "out.json")]
+
+
+def _graph_edge_not_a_pair(tmp_path):
+    graph = cycle_graph(3).to_json_dict()
+    graph["edges"][0] = 5
+    return ["graph", "alpha", _write_json(tmp_path, "g.json", graph)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [_span_basis_not_a_list, _tpmap_factors_not_a_list, _kraus_not_a_list,
+     _graph_edge_not_a_pair],
+)
+def test_loader_rejects_a_malformed_list_field(argv, tmp_path, capsys):
+    assert main(argv(tmp_path)) == 2
+    _assert_one_error_line(capsys)
 
 
 def test_nc_build_classical_zero_denominator_exits_2(tmp_path, capsys):
