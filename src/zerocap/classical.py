@@ -5,8 +5,7 @@ vanishes on non-edges and has unit (or merely nonzero) diagonal.  The
 minimum rank over such matrices upper-bounds the Shannon capacity, and any
 single verified fitting matrix is a standalone upper-bound certificate.
 This module verifies such certificates exactly, produces them from a small
-construction library, decides tiny instances exactly through the Groebner
-engine, and assembles the classical bounds sandwich
+construction library, and assembles the classical bounds sandwich
 
     independence number <= capacity <= min-rank fitting matrix,
 
@@ -16,9 +15,7 @@ assigned to vertices, orthogonal across non-edges).
 
 The two diagonal conventions decide the same minimum: dividing each row of
 a nonzero-diagonal fitting matrix by its diagonal entry produces a
-unit-diagonal one with the same rank and zero pattern.  The exact decision
-procedure still treats them separately so the agreement can be observed
-rather than assumed.
+unit-diagonal one with the same rank and zero pattern.
 """
 
 from __future__ import annotations
@@ -26,23 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .exactlinalg import ExactMatrix, GaussianRational, ONE, ZERO
 from .graphs import Graph, cycle_graph, independence_number, strong_product
-from .groebner import (
-    CPoly,
-    EncodedSystem,
-    _det_cpoly,
-    _split_constraints,
-    buchberger,
-)
 from .theta import lovasz_theta
 
 VARIANTS = ("unit-diagonal", "nonzero-diagonal")
-
-_I = GaussianRational(Fraction(0), Fraction(1))
 
 
 @dataclass(frozen=True)
@@ -234,98 +221,6 @@ def circulant_fitting_search(
         if rank < best_rank:
             best, best_rank = fm, rank
     return best
-
-
-# -- exact decision at tiny scale ----------------------------------------
-
-
-def encode_fitting_feasibility(g: Graph, k: int, variant: str) -> EncodedSystem:
-    """Polynomial system: a rank-<=k fitting matrix of the variant exists
-    iff the system has a common complex root.
-
-    Entry variables are complex (split into real pairs); the rank condition
-    is the vanishing of all (k+1) x (k+1) minors, and nonzero diagonals are
-    enforced by auxiliary reciprocal variables d_i * t_i = 1.
-    """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
-    n = g.n
-    slots: list[tuple[str, int, int]] = []
-    for i in range(n):
-        for j in range(n):
-            if i != j and g.has_edge(i, j):
-                slots.append(("edge", i, j))
-    if variant == "nonzero-diagonal":
-        slots.extend(("diag", i, i) for i in range(n))
-        slots.extend(("recip", i, i) for i in range(n))
-    nvars = 2 * len(slots)
-    offset = {s: 2 * c for c, s in enumerate(slots)}
-    names = []
-    for kind, i, j in slots:
-        names.append(f"re_{kind}_{i}_{j}")
-        names.append(f"im_{kind}_{i}_{j}")
-
-    def var(slot) -> CPoly:
-        base = offset[slot]
-        return CPoly.variable(nvars, base) + CPoly.variable(nvars, base + 1, _I)
-
-    def entry(i: int, j: int) -> CPoly:
-        if i == j:
-            if variant == "unit-diagonal":
-                return CPoly.constant(nvars, 1)
-            return var(("diag", i, i))
-        if g.has_edge(i, j):
-            return var(("edge", i, j))
-        return CPoly(nvars)
-
-    constraints: list[CPoly] = []
-    if variant == "nonzero-diagonal":
-        for i in range(n):
-            constraints.append(
-                var(("diag", i, i)) * var(("recip", i, i)) - CPoly.constant(nvars, 1)
-            )
-    if k + 1 <= n:
-        b = [[entry(i, j) for j in range(n)] for i in range(n)]
-        for rows in combinations(range(n), k + 1):
-            for cols in combinations(range(n), k + 1):
-                constraints.append(
-                    _det_cpoly([[b[r][c] for c in cols] for r in rows])
-                )
-    return EncodedSystem(_split_constraints(constraints), names, f"fitting-{variant}")
-
-
-def haemers_exact_tiny(
-    g: Graph,
-    k_cap: Optional[int] = None,
-    *,
-    variant: str = "nonzero-diagonal",
-    time_budget: float = 60.0,
-    degree_cap: int = 8,
-) -> Union[int, str]:
-    """Exact 𝓗(G) for tiny graphs, or "unknown" when the engine gives up.
-
-    Walks k upward from the independence number (no smaller rank is
-    possible) and asks the Groebner engine whether a rank-<=k fitting
-    matrix exists.  A completed basis is a genuine existence proof, a unit
-    certificate is a genuine non-existence proof, and any engine timeout
-    surfaces as "unknown" rather than a guess.
-    """
-    if g.n > 6:
-        raise ValueError("exact decision is limited to graphs on at most 6 vertices")
-    if k_cap is None:
-        k_cap = g.n
-    alpha = independence_number(g)[0]
-    for k in range(alpha, k_cap + 1):
-        enc = encode_fitting_feasibility(g, k, variant)
-        dec = buchberger(
-            enc.polynomials, degree_cap=degree_cap, time_budget=time_budget
-        )
-        if dec.status == "no-common-root":
-            continue
-        if dec.status == "has-common-root-or-unknown":
-            return k
-        return "unknown"
-    return "unknown"
 
 
 # -- bounds sandwich -------------------------------------------------------

@@ -10,10 +10,10 @@ Subcommands:
     selftest paper                   run the acceptance suite
 
 Every command takes ``--json`` for machine-readable output, ``--seed``
-(default 0) so searches are reproducible, ``--jobs`` for the one place
-the CLI fans work out (the selftest), and ``--config FILE`` pointing at
-a key=value file for the caps (graph-n-cap, sdp-tol, groebner-budget,
-m-cap).  Usage problems exit 2; a failed verification exits 1 with a
+(default 0) so searches are reproducible, and ``--config FILE`` pointing
+at a key=value file for the caps (graph-n-cap, sdp-tol, groebner-budget,
+m-cap).  ``selftest paper`` also takes ``--jobs``, the one place the CLI
+fans work out.  Usage problems exit 2; a failed verification exits 1 with a
 JSON diagnostic on standard error; success exits 0.
 
 Numbers printed with provenance ``certificate:<path>`` are re-derived
@@ -496,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--seed", type=int, default=0, help="seed for all searches")
-    common.add_argument("--jobs", type=int, default=1, help="parallel workers")
     common.add_argument(
         "--config",
         metavar="FILE",
@@ -617,6 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     ssub = st.add_subparsers(dest="suite", required=True)
     p = ssub.add_parser("paper", parents=[common], help="the full example suite")
     p.add_argument("--only", help="run a single named check")
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p.set_defaults(handler=_cmd_selftest)
 
     return parser

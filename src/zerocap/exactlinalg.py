@@ -280,9 +280,6 @@ class ExactMatrix:
     def row(self, i: int) -> tuple[GaussianRational, ...]:
         return self._e[i * self.cols : (i + 1) * self.cols]
 
-    def entries(self) -> tuple[GaussianRational, ...]:
-        return self._e
-
     def to_list(self) -> list[list[GaussianRational]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
@@ -376,21 +373,6 @@ class ExactMatrix:
     @property
     def H(self) -> "ExactMatrix":
         return self.conj_transpose()
-
-    def transpose(self) -> "ExactMatrix":
-        out = [ZERO] * (self.rows * self.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[j * self.rows + i] = self._e[i * self.cols + j]
-        return ExactMatrix(self.cols, self.rows, out)
-
-    def trace(self) -> GaussianRational:
-        if self.rows != self.cols:
-            raise ValueError("trace of non-square matrix")
-        t = ZERO
-        for i in range(self.rows):
-            t = t + self._e[i * self.cols + i]
-        return t
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         """Kronecker product; block (i,j) of the result is self[i,j] * other."""

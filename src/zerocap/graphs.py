@@ -25,6 +25,8 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[Sequence[int]]) -> "Graph":
+        if n < 0:
+            raise ValueError(f"vertex count n = {n} is negative")
         es = set()
         for e in edges:
             i, j = int(e[0]), int(e[1])

@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exactlinalg import GaussianRational, ONE, ZERO, as_scalar
 from .ncgraph import NcGraph
@@ -61,16 +61,6 @@ def mon_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 def degrevlex_key(m: Monomial):
     return (sum(m), tuple(-e for e in reversed(m)))
-
-
-def lex_key(m: Monomial):
-    return m
-
-
-ORDER_KEYS: dict[str, Callable[[Monomial], object]] = {
-    "degrevlex": degrevlex_key,
-    "lex": lex_key,
-}
 
 
 # -- polynomials over Q -------------------------------------------------
@@ -165,30 +155,20 @@ class Polynomial:
         c = Fraction(c)
         return Polynomial(self.nvars, {m: c * v for m, v in self.terms.items()})
 
-    def leading(self, key) -> tuple[Monomial, Fraction]:
-        mon = max(self.terms, key=key)
+    def leading(self) -> tuple[Monomial, Fraction]:
+        mon = max(self.terms, key=degrevlex_key)
         return mon, self.terms[mon]
 
     def constant_value(self) -> Fraction:
         return self.terms.get((0,) * self.nvars, Fraction(0))
 
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            v = c
-            for i, e in enumerate(m):
-                if e:
-                    v *= Fraction(point[i]) ** e
-            total += v
-        return total
-
     # -- text format: "2*x1^2*x3 - 1/2*x2 + 1" --------------------------
 
-    def to_text(self, key=degrevlex_key) -> str:
+    def to_text(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for mon in sorted(self.terms, key=key, reverse=True):
+        for mon in sorted(self.terms, key=degrevlex_key, reverse=True):
             c = self.terms[mon]
             factors = [
                 f"x{i + 1}" + (f"^{e}" if e > 1 else "")
@@ -362,15 +342,14 @@ def _reduce_full(
     work: Polynomial,
     rep: list[Polynomial],
     basis: list[tuple[Polynomial, list[Polynomial]]],
-    key,
 ) -> tuple[Polynomial, list[Polynomial]]:
     """Full normal form of work modulo basis, updating its representation."""
     remainder: dict[Monomial, Fraction] = {}
     terms = dict(work.terms)
     nvars = work.nvars
-    lead_cache = [(g.leading(key)) for g, _ in basis]
+    lead_cache = [g.leading() for g, _ in basis]
     while terms:
-        mon = max(terms, key=key)
+        mon = max(terms, key=degrevlex_key)
         coeff = terms[mon]
         hit = None
         for idx, (lm, lc) in enumerate(lead_cache):
@@ -399,22 +378,18 @@ def _reduce_full(
 
 def buchberger(
     gens: Sequence[Polynomial],
-    order: str = "degrevlex",
     degree_cap: int = DEFAULT_DEGREE_CAP,
     time_budget: float = DEFAULT_TIME_BUDGET,
 ) -> IdealDecision:
     """Decide whether gens have a common complex root, with certificates.
 
-    Normal pair selection: pairs come off a heap keyed on (order key of
-    lcm, (i, j)), so the smallest lcm in the chosen order goes first and
+    Normal pair selection in degrevlex: pairs come off a heap keyed on
+    (degrevlex key of lcm, (i, j)), so the smallest lcm goes first and
     ties break on the index pair.  Product and chain criteria, cofactor
     tracking throughout.  degree_cap bounds the degree of any new basis
     polynomial and time_budget the wall clock; exceeding either yields
     status "timeout", which decides nothing.
     """
-    if order not in ORDER_KEYS:
-        raise ValueError(f"unknown monomial order {order!r}")
-    key = ORDER_KEYS[order]
     t0 = time.monotonic()
     ngens = len(gens)
     nvars = gens[0].nvars if gens else 0
@@ -448,7 +423,7 @@ def buchberger(
         if p.is_constant():
             inv = 1 / p.constant_value()
             return [r.scale(inv) for r in rep]
-        lm, lc = p.leading(key)
+        lm, lc = p.leading()
         inv = 1 / lc
         basis.append((p.scale(inv), [r.scale(inv) for r in rep]))
         lms.append(lm)
@@ -456,7 +431,7 @@ def buchberger(
 
     # seed with normal forms of the generators
     for i, g in enumerate(gens):
-        r, rep = _reduce_full(g, unit_rep(i), basis, key)
+        r, rep = _reduce_full(g, unit_rep(i), basis)
         cof = add_to_basis(r, rep)
         if cof is not None:
             return decision("no-common-root", basis, cof, pairs_done)
@@ -464,7 +439,7 @@ def buchberger(
     # leading monomials never change once in the basis, so each pair's
     # heap entry is computed once, when the pair is created
     pending = [
-        (key(mon_lcm(lms[i], lms[j])), (i, j))
+        (degrevlex_key(mon_lcm(lms[i], lms[j])), (i, j))
         for i in range(len(basis))
         for j in range(i + 1, len(basis))
     ]
@@ -499,8 +474,8 @@ def buchberger(
             continue
         gi, repi = basis[i]
         gj, repj = basis[j]
-        ci = gi.leading(key)[1]
-        cj = gj.leading(key)[1]
+        ci = gi.leading()[1]
+        cj = gj.leading()[1]
         qi = mon_div(l, li)
         qj = mon_div(l, lj)
         spoly = gi.term_mul(qi, 1 / ci) - gj.term_mul(qj, 1 / cj)
@@ -508,7 +483,7 @@ def buchberger(
             a.term_mul(qi, Fraction(1) / ci) - b.term_mul(qj, Fraction(1) / cj)
             for a, b in zip(repi, repj)
         ]
-        r, rep = _reduce_full(spoly, srep, basis, key)
+        r, rep = _reduce_full(spoly, srep, basis)
         if r.is_zero():
             continue
         if not r.is_constant() and r.degree() > degree_cap:
@@ -519,7 +494,9 @@ def buchberger(
         new_idx = len(basis) - 1
         new_lm = lms[new_idx]
         for t in range(new_idx):
-            heapq.heappush(pending, (key(mon_lcm(lms[t], new_lm)), (t, new_idx)))
+            heapq.heappush(
+                pending, (degrevlex_key(mon_lcm(lms[t], new_lm)), (t, new_idx))
+            )
     return decision("has-common-root-or-unknown", basis, None, pairs_done)
 
 
@@ -541,7 +518,7 @@ def _dedupe(polys: list[Polynomial]) -> list[Polynomial]:
     for p in polys:
         if p.is_zero():
             continue
-        lm, lc = p.leading(degrevlex_key)
+        lm, lc = p.leading()
         monic = p.scale(1 / lc)
         fp = frozenset(monic.terms.items())
         if fp in seen:

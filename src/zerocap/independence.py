@@ -17,7 +17,7 @@ over the Gaussian rationals anyway).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .exactlinalg import (
     parse_scalar,
     rationalize,
 )
-from .graphs import Graph, independence_number
+from .graphs import independence_number
 from .ncgraph import NcGraph
 
 DEFAULT_DENOMINATOR_CAP = 10_000
@@ -109,21 +109,6 @@ def verify_independent(s: NcGraph, sys_: IndependentSystem) -> bool:
                 if not (bra @ avj)[0, 0].is_zero():
                     return False
     return True
-
-
-def alpha_of_graph_system(s: Union[NcGraph, Graph]) -> int:
-    """Exact independence number in the graph case.
-
-    Accepts a graph directly, or a span that is recognizably of graph form
-    (spanned by matrix units); any other span raises, because the general
-    value is out of reach.
-    """
-    if isinstance(s, Graph):
-        return independence_number(s)[0]
-    g = s.as_graph()
-    if g is None:
-        raise ValueError("span is not of matrix-unit (graph) form")
-    return independence_number(g)[0]
 
 
 def _rationalize_vector(

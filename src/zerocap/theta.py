@@ -66,8 +66,10 @@ def lovasz_theta(
 
     Never raises on slow convergence: if the Newton iteration budget runs
     out, the result has converged=False and carries the best bound pair
-    found so far.
+    found so far.  Raises ValueError unless tol is positive and finite.
     """
+    if not 0 < tol < float("inf"):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     n = g.n
     if n < 1:
         raise ValueError("graph must have at least one vertex")

@@ -1,4 +1,4 @@
-"""Fitting matrices, orthogonal rank, exact tiny decisions, bounds sandwich."""
+"""Fitting matrices, orthogonal rank, bounds sandwich."""
 
 import random
 
@@ -11,9 +11,7 @@ from zerocap.classical import (
     bounds_report,
     circulant_difference_set,
     circulant_fitting_search,
-    encode_fitting_feasibility,
     gram_fitting_matrix,
-    haemers_exact_tiny,
     orthogonal_rank_verify,
     pentagon_representation,
     random_fitting_matrix,
@@ -183,42 +181,6 @@ def test_circulant_sweep_clique_finds_rank_one():
 
 def test_circulant_sweep_skips_non_circulant():
     assert circulant_fitting_search(path_graph(3)) is None
-
-
-# -- exact tiny decision -------------------------------------------------
-
-
-def test_exact_tiny_triangle():
-    assert haemers_exact_tiny(complete_graph(3)) == 1
-
-
-def test_exact_tiny_empty3():
-    assert haemers_exact_tiny(empty_graph(3)) == 3
-
-
-def test_exact_tiny_path3():
-    assert haemers_exact_tiny(path_graph(3)) == 2
-
-
-def test_exact_tiny_variants_agree():
-    for g in (complete_graph(2), empty_graph(2), complete_graph(3), empty_graph(3), path_graph(3)):
-        a = haemers_exact_tiny(g, variant="nonzero-diagonal")
-        b = haemers_exact_tiny(g, variant="unit-diagonal")
-        if a != "unknown" and b != "unknown":
-            assert a == b
-
-
-def test_exact_tiny_respects_caps():
-    assert haemers_exact_tiny(complete_graph(3), k_cap=0) == "unknown"
-    with pytest.raises(ValueError):
-        haemers_exact_tiny(empty_graph(7))
-    # a microscopic time budget cannot prove anything
-    assert haemers_exact_tiny(cycle_graph(5), time_budget=0.0) == "unknown"
-
-
-def test_encode_fitting_validation():
-    with pytest.raises(ValueError, match="variant"):
-        encode_fitting_feasibility(path_graph(3), 1, "psd")
 
 
 # -- bounds sandwich -----------------------------------------------------

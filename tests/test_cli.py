@@ -188,6 +188,16 @@ def test_nc_haemers_full_algebra_needs_no_search(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
+def test_nc_haemers_exact_tiny_refutes_rank_one(ci2_file, tmp_path, capsys):
+    cert_out = tmp_path / "cert.json"
+    assert main(["nc", "haemers", ci2_file, "--exact-tiny", "--json",
+                 "--cert-out", str(cert_out)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["exact_tiny"] == ["rank 1: m=1: infeasible, m=2: infeasible"]
+    assert payload["upper"]["rank"] == 2
+    assert payload["upper"]["method"] == "identity"
+
+
 def test_nc_verify_cert_ok(ci2_file, tmp_path, capsys):
     cert_path = _write_cert(tmp_path, "id2.json", identity_certificate(2))
     assert main(["nc", "verify-cert", ci2_file, cert_path]) == 0
@@ -288,6 +298,19 @@ def test_loader_rejects_a_malformed_list_field(argv, tmp_path, capsys):
     _assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [("g.dimacs", "p -3 1\n"), ("g.json", json.dumps({"n": -3, "edges": []}))],
+    ids=["text", "json"],
+)
+def test_graph_negative_vertex_count_exits_2(name, text, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["graph", "alpha", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: vertex count n = -3 is negative\n"
+
+
 def test_nc_build_classical_zero_denominator_exits_2(tmp_path, capsys):
     path = tmp_path / "chan.json"
     path.write_text(json.dumps({"inputs": 1, "outputs": 2, "probs": [["1/0"], ["0"]]}))
@@ -365,6 +388,30 @@ def test_config_file(c5_file, tmp_path, capsys):
     cfg.write_text("# caps\nsdp-tol = 1e-5\ngraph-n-cap = 32\n")
     assert main(["graph", "theta", c5_file, "--config", str(cfg)]) == 0
     assert "tol 1e-05" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--tol", "nan"], ["--tol", "inf"], ["--tol", "-1"], ["--config", "nan.cfg"]],
+    ids=["nan", "inf", "negative", "config-nan"],
+)
+def test_graph_theta_rejects_a_bad_tolerance(
+    extra, c5_file, tmp_path, capsys, monkeypatch
+):
+    (tmp_path / "nan.cfg").write_text("sdp-tol = nan\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["graph", "theta", c5_file, "--json", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1 and captured.err.startswith("error:")
+
+
+def test_jobs_is_a_selftest_option_only(c5_file):
+    assert cli_module.build_parser().parse_args(
+        ["selftest", "paper", "--jobs", "2"]).jobs == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["graph", "alpha", c5_file, "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_config_unknown_key_exits_2(c5_file, tmp_path, capsys):

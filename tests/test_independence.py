@@ -1,15 +1,12 @@
 """Independent systems: exact verification, graph reduction, numeric search."""
 
-import random
-
 import pytest
 
 from zerocap.exactlinalg import ExactMatrix
-from zerocap.graphs import Graph, cycle_graph, independence_number, random_graph
+from zerocap.graphs import Graph, cycle_graph
 from zerocap.independence import (
     IndependentSystem,
     alpha_lower_search,
-    alpha_of_graph_system,
     verify_independent,
 )
 from zerocap.ncgraph import (
@@ -17,7 +14,6 @@ from zerocap.ncgraph import (
     conjugate_by_unitary,
     diagonal_system,
     full_matrix_system,
-    scalar_identity_system,
     tensor,
 )
 
@@ -79,29 +75,6 @@ def test_dimension_mismatch_raises():
         )
     with pytest.raises(ValueError):
         IndependentSystem(3, (ExactMatrix.from_strings([["1"], ["0"]]),))
-
-
-# -- graph reduction -----------------------------------------------------
-
-
-def test_alpha_of_graph_system_examples():
-    assert alpha_of_graph_system(cycle_graph(5)) == 2
-    assert alpha_of_graph_system(NcGraph.from_graph(cycle_graph(5))) == 2
-    assert alpha_of_graph_system(diagonal_system(4)) == 4
-    assert alpha_of_graph_system(full_matrix_system(3)) == 1
-
-
-def test_alpha_of_graph_system_rejects_non_graph_span():
-    with pytest.raises(ValueError, match="graph"):
-        alpha_of_graph_system(scalar_identity_system(2))
-
-
-def test_alpha_agreement_with_graph_core():
-    rng = random.Random(5)
-    graphs = [cycle_graph(n) for n in (3, 4, 5, 6, 7)]
-    graphs += [random_graph(rng.randint(2, 10), rng.random(), rng) for _ in range(15)]
-    for g in graphs:
-        assert alpha_of_graph_system(NcGraph.from_graph(g)) == independence_number(g)[0]
 
 
 # -- search --------------------------------------------------------------
