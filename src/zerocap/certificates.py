@@ -22,7 +22,7 @@ decision procedure backed by the groebner module.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import isqrt, lcm
 from typing import Optional, Sequence
@@ -57,7 +57,6 @@ from .groebner import (
 from .independence import IndependentSystem, alpha_lower_search, verify_independent
 from .ncgraph import NcGraph, check_unitary, conjugate_by_unitary
 from .ncgraph import direct_sum_nc as _direct_sum_span
-from .ncgraph import diagonal_system
 from .ncgraph import tensor as _tensor_span
 
 #: Denominator caps tried, in order, when rounding a float factor to Q(i).
@@ -90,6 +89,8 @@ class HaemersCertificate:
     """Exact witness that the rank bound of some span is at most k.
 
     B = C^dag D is an mn x mn matrix viewed as m x m blocks of size n.
+    Each k x mn factor holds m blocks of size k x n side by side: block j
+    is columns j*n ... (j+1)*n - 1, and block (i, j) of B is C_i^dag D_j.
     The factored form keeps rank(B) <= k true by shape; membership of
     every block and the block-trace condition are checked by
     ``verify_certificate`` against a concrete span.
@@ -118,12 +119,6 @@ class HaemersCertificate:
     def matrix(self) -> ExactMatrix:
         """The certified matrix B = C^dag D."""
         return self.C.conj_transpose() @ self.D
-
-    def block(self, b: ExactMatrix, i: int, j: int) -> ExactMatrix:
-        n = self.n
-        rows = range(i * n, (i + 1) * n)
-        cols = range(j * n, (j + 1) * n)
-        return b.submatrix(rows, cols)
 
     def to_json_dict(self) -> dict:
         return {
@@ -188,6 +183,24 @@ class TpMapCertificate:
         )
 
 
+def _blocks(factor: ExactMatrix, n: int) -> list[ExactMatrix]:
+    """The k x n blocks of a k x mn factor, left to right."""
+    rows = range(factor.rows)
+    return [
+        factor.submatrix(rows, range(j, j + n)) for j in range(0, factor.cols, n)
+    ]
+
+
+def _hstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
+    rows = []
+    for r in range(mats[0].rows):
+        row: list[GaussianRational] = []
+        for mat in mats:
+            row.extend(mat.row(r))
+        rows.append(row)
+    return ExactMatrix.from_rows(rows)
+
+
 # -- verification -----------------------------------------------------
 
 
@@ -221,12 +234,10 @@ def verify_certificate(s: NcGraph, cert: HaemersCertificate) -> int:
             "the rank bound is still checked but loses its capacity meaning",
             stacklevel=2,
         )
-    n, m = cert.n, cert.m
-    b = cert.matrix()
+    n = cert.n
     total = ExactMatrix.zeros(n, n)
-    for i in range(m):
-        for j in range(m):
-            blk = cert.block(b, i, j)
+    for i, c_i in enumerate(_blocks(cert.C, n)):
+        for j, blk in enumerate(_blocks(c_i.conj_transpose() @ cert.D, n)):
             if not s.contains(blk):
                 raise VerificationError(
                     f"block ({i}, {j}) of C^dag D lies outside the span",
@@ -416,6 +427,8 @@ def project_to_graph_certificate(
     is a nonzero-diagonal fitting matrix of rank at most rank(B).
     """
     g = s.as_graph()
+    if g is None:
+        raise ValueError("span is not a graph span")
     verify_certificate(s, cert)
     n, m = cert.n, cert.m
     b = cert.matrix()
@@ -442,10 +455,6 @@ def project_to_graph_certificate(
 # -- constructive transformations -------------------------------------
 
 
-def _permute_columns(mat: ExactMatrix, perm: Sequence[int]) -> ExactMatrix:
-    return mat.submatrix(range(mat.rows), perm)
-
-
 def tensor_certificate(
     s: NcGraph,
     c1: HaemersCertificate,
@@ -454,27 +463,20 @@ def tensor_certificate(
 ) -> HaemersCertificate:
     """Certificate for the tensor span from certificates of the factors.
 
-    B is the Kronecker product of the two certified matrices with block
-    structure regrouped from (blocks x blocks) x (ambient x ambient) to
-    the m1*m2 blocks of size n1*n2; the rank multiplies exactly.
+    Block (i1, i2) of each new factor is the Kronecker product of block
+    i1 and block i2 of the old ones, so block ((i1, i2), (j1, j2)) of B
+    is B1_{i1 j1} x B2_{i2 j2}; the rank multiplies exactly.
     """
     r1 = verify_certificate(s, c1)
     r2 = verify_certificate(t, c2)
-    n1, m1, n2, m2 = c1.n, c1.m, c2.n, c2.m
-    n, m = n1 * n2, m1 * m2
-    # column (i1*n1+p1, i2*n2+p2) of the plain Kronecker factor belongs at
-    # block (i1, i2), inner position (p1, p2)
-    perm = [0] * (m * n)
-    for i1 in range(m1):
-        for p1 in range(n1):
-            for i2 in range(m2):
-                for p2 in range(n2):
-                    src = (i1 * n1 + p1) * (m2 * n2) + i2 * n2 + p2
-                    dst = (i1 * m2 + i2) * n + p1 * n2 + p2
-                    perm[dst] = src
-    c = _permute_columns(c1.C.kron(c2.C), perm)
-    d = _permute_columns(c1.D.kron(c2.D), perm)
-    out = HaemersCertificate(n=n, m=m, k=c1.k * c2.k, C=c, D=d)
+    n1, n2 = c1.n, c2.n
+
+    def kron(f1: ExactMatrix, f2: ExactMatrix) -> ExactMatrix:
+        return _hstack([a.kron(b) for a in _blocks(f1, n1) for b in _blocks(f2, n2)])
+
+    out = HaemersCertificate(
+        n=n1 * n2, m=c1.m * c2.m, k=c1.k * c2.k, C=kron(c1.C, c2.C), D=kron(c1.D, c2.D)
+    )
     rank = verify_certificate(_tensor_span(s, t), out)
     if rank != r1 * r2:  # pragma: no cover - would falsify Kronecker rank
         raise RuntimeError("tensor certificate rank is not multiplicative")
@@ -496,30 +498,17 @@ def direct_sum_certificate(
     """
     r1 = verify_certificate(s, c1)
     r2 = verify_certificate(t, c2)
-    n1, n2 = c1.n, c2.n
-    n = n1 + n2
     m = max(c1.m, c2.m)
-    k = c1.k + c2.k
 
-    def padded_row(factor: ExactMatrix, t_row: int, own_n: int, own_m: int, left: bool):
-        row: list[GaussianRational] = []
-        for i in range(m):
-            blockcols: list[GaussianRational] = [ZERO] * n
-            if i < own_m:
-                seg = [factor[t_row, i * own_n + q] for q in range(own_n)]
-                if left:
-                    blockcols[:own_n] = seg
-                else:
-                    blockcols[n1:] = seg
-            row.extend(blockcols)
-        return row
+    def padded(c: HaemersCertificate, factor: ExactMatrix) -> list[ExactMatrix]:
+        return _blocks(factor, c.n) + [ExactMatrix.zeros(c.k, c.n)] * (m - c.m)
 
-    c_rows = [padded_row(c1.C, t_row, n1, c1.m, True) for t_row in range(c1.k)]
-    c_rows += [padded_row(c2.C, t_row, n2, c2.m, False) for t_row in range(c2.k)]
-    d_rows = [padded_row(c1.D, t_row, n1, c1.m, True) for t_row in range(c1.k)]
-    d_rows += [padded_row(c2.D, t_row, n2, c2.m, False) for t_row in range(c2.k)]
+    def stacked(f1: ExactMatrix, f2: ExactMatrix) -> ExactMatrix:
+        pairs = zip(padded(c1, f1), padded(c2, f2))
+        return _hstack([a.direct_sum(b) for a, b in pairs])
+
     out = HaemersCertificate(
-        n=n, m=m, k=k, C=ExactMatrix.from_rows(c_rows), D=ExactMatrix.from_rows(d_rows)
+        n=c1.n + c2.n, m=m, k=c1.k + c2.k, C=stacked(c1.C, c2.C), D=stacked(c1.D, c2.D)
     )
     rank = verify_certificate(_direct_sum_span(s, t), out)
     if rank != r1 + r2:  # pragma: no cover - blocks live on disjoint coordinates
@@ -533,14 +522,15 @@ def conjugate_certificate(
     """Transport a certificate along a unitary change of basis.
 
     B' = (I_m x U)^dag B (I_m x U) certifies the conjugated span with the
-    same rank.
+    same rank; each factor block F_i becomes F_i U.
     """
     check_unitary(u)
     verify_certificate(s, cert)
-    w = ExactMatrix.identity(cert.m).kron(u)
-    out = HaemersCertificate(
-        n=cert.n, m=cert.m, k=cert.k, C=cert.C @ w, D=cert.D @ w
-    )
+
+    def rotated(factor: ExactMatrix) -> ExactMatrix:
+        return _hstack([blk @ u for blk in _blocks(factor, cert.n)])
+
+    out = replace(cert, C=rotated(cert.C), D=rotated(cert.D))
     verify_certificate(conjugate_by_unitary(s, u), out)
     return out
 
@@ -595,24 +585,12 @@ def cohomomorphism_apply(
                         where=(a, t_idx, b_idx),
                     )
     verify_certificate(target, cert)
-    ell = len(kraus)
-    m_out = cert.m * ell
 
     def composed(factor: ExactMatrix) -> ExactMatrix:
-        rows: list[list[GaussianRational]] = []
-        for t_row in range(cert.k):
-            row: list[GaussianRational] = []
-            for i in range(cert.m):
-                block = ExactMatrix.from_rows(
-                    [[factor[t_row, i * n_t + q] for q in range(n_t)]]
-                )
-                for op in kraus:
-                    row.extend((block @ op).row(0))
-            rows.append(row)
-        return ExactMatrix.from_rows(rows)
+        return _hstack([blk @ op for blk in _blocks(factor, n_t) for op in kraus])
 
     out = HaemersCertificate(
-        n=n_s, m=m_out, k=cert.k, C=composed(cert.C), D=composed(cert.D)
+        n=n_s, m=cert.m * len(kraus), k=cert.k, C=composed(cert.C), D=composed(cert.D)
     )
     verify_certificate(source, out)
     return out
@@ -732,14 +710,8 @@ def compression_lower_bound(
 def to_tp_map(s: NcGraph, cert: HaemersCertificate) -> TpMapCertificate:
     """Repackage a verified certificate as a trace-preserving map into M_k."""
     verify_certificate(s, cert)
-    n, m = cert.n, cert.m
-    e_ops = []
-    f_ops = []
-    for i in range(m):
-        cols = range(i * n, (i + 1) * n)
-        f_ops.append(cert.C.submatrix(range(cert.k), cols))
-        e_ops.append(cert.D.submatrix(range(cert.k), cols))
-    return TpMapCertificate(n=n, k=cert.k, E=tuple(e_ops), F=tuple(f_ops))
+    f_ops, e_ops = _blocks(cert.C, cert.n), _blocks(cert.D, cert.n)
+    return TpMapCertificate(n=cert.n, k=cert.k, E=tuple(e_ops), F=tuple(f_ops))
 
 
 def from_tp_map(tp: TpMapCertificate) -> HaemersCertificate:
@@ -747,16 +719,6 @@ def from_tp_map(tp: TpMapCertificate) -> HaemersCertificate:
     c = _hstack(tp.F)
     d = _hstack(tp.E)
     return HaemersCertificate(n=tp.n, m=len(tp.E), k=tp.k, C=c, D=d)
-
-
-def _hstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
-    rows = []
-    for r in range(mats[0].rows):
-        row: list[GaussianRational] = []
-        for mat in mats:
-            row.extend(mat.row(r))
-        rows.append(row)
-    return ExactMatrix.from_rows(rows)
 
 
 # -- numeric search ----------------------------------------------------
@@ -911,13 +873,16 @@ def haemers_upper_search(
     each half step exactly minimizes the squared violation of block
     membership (orthogonal projection residual against the span) plus the
     block-trace condition.  Near-feasible points are rounded to Q(i)
-    through a denominator ladder; each rounding of C is first completed
-    by an exact linear solve for D (the constraints are linear in D),
-    then a plain rounding of both factors is tried.  Whatever survives
-    verify_certificate is returned; everything else is discarded.
+    through a denominator ladder, and each rounding of C is completed by
+    an exact linear solve for D (the constraints are linear in D).  A
+    rounded D could only verify by solving that same system, so D is
+    never rounded itself.  Whatever survives verify_certificate is
+    returned; everything else is discarded.
     """
     if k < 1:
         raise ValueError("rank bound k must be positive")
+    if budget < 1:
+        raise ValueError(f"restart budget must be positive, got {budget}")
     n = s.n
     cap = n**4 if m_cap is None else min(m_cap, n**4)
     if m_schedule is None:
@@ -954,14 +919,6 @@ def haemers_upper_search(
                 cert = _polish_factor(s, c_exact, k, m)
                 if cert is not None:
                     return cert
-                try:
-                    cert = HaemersCertificate(
-                        n=n, m=m, k=k, C=c_exact, D=_rationalize_matrix(d, denom_cap)
-                    )
-                    verify_certificate(s, cert)
-                    return cert
-                except VerificationError:
-                    continue
     return None
 
 

@@ -286,6 +286,8 @@ def _parse_schedule(text: Optional[str]) -> Optional[list[int]]:
 
 
 def _cmd_nc_haemers(args: argparse.Namespace, cfg: CliConfig) -> int:
+    if args.budget < 1:
+        raise ValueError(f"--budget must be positive, got {args.budget}")
     s = _load_ncgraph(args.file)
     lower = haemers_lower(s, seed=args.seed)
     schedule = _parse_schedule(args.m_schedule)

@@ -24,11 +24,8 @@ from .exactlinalg import (
     ONE,
     SparseRow,
     ZERO,
-    as_scalar,
-    format_scalar,
     require_int,
     require_list,
-    parse_scalar,
     reduce_row,
     sparse_rref,
 )

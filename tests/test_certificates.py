@@ -619,6 +619,35 @@ def test_search_certificate_is_pinned():
     )
 
 
+def test_transform_certificates_are_pinned():
+    rng = np.random.default_rng(11)
+    d2, c2, ci2 = diagonal_system(2), constant_diagonal_system(2), scalar_identity_system(2)
+    a = random_certificate(d2, 2, rng)
+    b = random_certificate(c2, 3, rng)
+    e = random_certificate(ci2, 1, rng)
+    phase = ExactMatrix.from_strings([["0", "i"], ["1", "0"]])
+    d3 = diagonal_system(3)
+    outs = [
+        tensor_certificate(d2, a, c2, b),
+        tensor_certificate(c2, b, ci2, e),
+        direct_sum_certificate(d2, a, c2, b),
+        direct_sum_certificate(ci2, e, d2, a),
+        conjugate_certificate(c2, b, phase),
+        cohomomorphism_apply(
+            homomorphism_kraus([2, 0], 2, 3),
+            random_certificate(d3, 2, rng),
+            source=d2,
+            target=d3,
+        ),
+        to_tp_map(d2, a),
+        to_tp_map(c2, b),
+    ]
+    text = json.dumps([out.to_json_dict() for out in outs], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1d58f8c162ba9bb9640e6a6a6782912980e42d7ffddca9860d1cdcbe2e14c26b"
+    )
+
+
 def test_constructed_certificate_picks_the_lowest_rank():
     c5 = NcGraph.from_graph(cycle_graph(5))
     cases = [
@@ -641,6 +670,9 @@ def test_search_validates_inputs():
         haemers_upper_search(full_matrix_system(2), 0)
     with pytest.raises(ValueError):
         haemers_upper_search(full_matrix_system(2), 1, m_schedule=[0])
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match="restart budget"):
+            haemers_upper_search(full_matrix_system(2), 1, budget=budget)
 
 
 # -- lower bounds --------------------------------------------------------------------

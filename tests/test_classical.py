@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from zerocap.classical import (
-    ClassicalBounds,
     FittingMatrix,
     bounds_report,
     circulant_difference_set,
@@ -20,7 +19,6 @@ from zerocap.classical import (
 )
 from zerocap.exactlinalg import ExactMatrix
 from zerocap.graphs import (
-    Graph,
     complete_graph,
     cycle_graph,
     empty_graph,

@@ -198,6 +198,18 @@ def test_nc_haemers_exact_tiny_refutes_rank_one(ci2_file, tmp_path, capsys):
     assert payload["upper"]["method"] == "identity"
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_nc_haemers_rejects_a_budget_below_one(budget, tmp_path, capsys, monkeypatch):
+    calls = _record_search(monkeypatch)
+    # the full algebra runs no search, so only an up-front check catches it
+    span = _write_span(tmp_path, "full.json", full_matrix_system(2))
+    cert_out = tmp_path / "cert.json"
+    assert main(["nc", "haemers", span, "--budget", budget,
+                 "--cert-out", str(cert_out)]) == 2
+    assert capsys.readouterr().err == f"error: --budget must be positive, got {budget}\n"
+    assert calls == [] and not cert_out.exists()
+
+
 def test_nc_verify_cert_ok(ci2_file, tmp_path, capsys):
     cert_path = _write_cert(tmp_path, "id2.json", identity_certificate(2))
     assert main(["nc", "verify-cert", ci2_file, cert_path]) == 0
@@ -359,6 +371,15 @@ def test_transform_lift_project_round_trip(c5_file, tmp_path, capsys):
                  "-o", str(back)]) == 0
     fm = FittingMatrix.from_json_dict(json.loads(back.read_text()))
     assert verify_fitting(fm) == 3
+
+
+def test_transform_project_rejects_a_span_that_is_not_a_graph_span(tmp_path, capsys):
+    span = _write_span(tmp_path, "corner.json", corner_family(Fraction(1, 2)))
+    cert = _write_cert(tmp_path, "c3.json", identity_certificate(3))
+    out = tmp_path / "fm.json"
+    assert main(["nc", "transform", "project", span, cert, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: span is not a graph span\n"
+    assert not out.exists()
 
 
 def test_transform_tpmap_round_trip(tmp_path, capsys):

@@ -13,7 +13,6 @@ import pytest
 
 from zerocap.groebner import (
     CPoly,
-    IdealDecision,
     Polynomial,
     buchberger,
     check_cofactors,

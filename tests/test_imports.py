@@ -1,0 +1,63 @@
+"""Every imported name in the package modules and the tests is used.
+
+The repository has no linter, so this scans the source with ``ast``: a
+name bound by an import must be read somewhere else in the same file
+(a plain name, the base of an attribute, or inside a string annotation).
+``zerocap/__init__.py`` is skipped because its imports are the public
+re-exports listed in ``__all__``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted(
+    path
+    for path in [*(ROOT / "src" / "zerocap").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    if path.name != "__init__.py"
+)
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    names: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            yield node.annotation
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):
+        # string annotations such as -> "ExactMatrix"
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                inner = ast.parse(node.value, mode="eval")
+                used.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+    return used
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used_names(tree)
+    unused = [
+        f"{path.parent.name}/{path.name}:{line}: {name}"
+        for name, line in sorted(_imported_names(tree).items(), key=lambda kv: kv[1])
+        if name not in used
+    ]
+    assert not unused, "imported but never used:\n" + "\n".join(unused)

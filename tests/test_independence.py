@@ -3,7 +3,7 @@
 import pytest
 
 from zerocap.exactlinalg import ExactMatrix
-from zerocap.graphs import Graph, cycle_graph
+from zerocap.graphs import cycle_graph
 from zerocap.independence import (
     IndependentSystem,
     alpha_lower_search,
