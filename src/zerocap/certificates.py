@@ -47,7 +47,6 @@ from .exactlinalg import (
     rationalize,
 )
 from .groebner import (
-    DEFAULT_DEGREE_CAP,
     DEFAULT_TIME_BUDGET,
     IdealDecision,
     buchberger,
@@ -64,6 +63,14 @@ RATIONALIZE_DENOMINATORS: tuple[int, ...] = (16, 256, 10_000, 1_000_000)
 
 #: Soft ceiling on the real-variable count accepted by the exact decider.
 EXACT_DECIDE_VAR_GUIDELINE = 24
+
+#: Settings no caller changes: the numerator bound of random_certificate's
+#: coefficients, ALS sweeps per haemers_upper_search restart, alpha_lower_search
+#: restarts per target size in haemers_lower, haemers_exact_decide's restarts.
+RANDOM_COEFF_MAGNITUDE = 3
+ALS_ITERATIONS = 80
+LOWER_SEARCH_BUDGET = 10
+DECIDE_SEARCH_BUDGET = 4
 
 
 class VerificationError(ValueError):
@@ -309,7 +316,7 @@ def full_matrix_certificate(n: int) -> HaemersCertificate:
 
 
 def random_certificate(
-    s: NcGraph, m: int, rng: np.random.Generator, *, magnitude: int = 3
+    s: NcGraph, m: int, rng: np.random.Generator
 ) -> HaemersCertificate:
     """A random verified certificate with m blocks drawn from the span.
 
@@ -325,9 +332,10 @@ def random_certificate(
     basis = s.basis
 
     def coeff() -> GaussianRational:
+        mag = RANDOM_COEFF_MAGNITUDE
         return GaussianRational(
-            Fraction(int(rng.integers(-magnitude, magnitude + 1)), int(rng.integers(1, 4))),
-            Fraction(int(rng.integers(-magnitude, magnitude + 1)), int(rng.integers(1, 4))),
+            Fraction(int(rng.integers(-mag, mag + 1)), int(rng.integers(1, 4))),
+            Fraction(int(rng.integers(-mag, mag + 1)), int(rng.integers(1, 4))),
         )
 
     def random_block() -> ExactMatrix:
@@ -857,6 +865,20 @@ def _polish_factor(
     return cert
 
 
+def block_count_schedule(
+    n: int, m_schedule: Optional[Sequence[int]] = None, m_cap: Optional[int] = None
+) -> list[int]:
+    """Block counts to search in M_n, ascending: m_schedule (default 1, 2, n,
+    n^2) cut to [1, min(m_cap, n^4)]; ValueError when none is left."""
+    cap = n**4 if m_cap is None else min(m_cap, n**4)
+    if m_schedule is None:
+        m_schedule = [1, 2, n, n * n]
+    schedule = sorted({m for m in m_schedule if 1 <= m <= cap})
+    if not schedule:
+        raise ValueError("empty block-count schedule after applying the cap")
+    return schedule
+
+
 def haemers_upper_search(
     s: NcGraph,
     k: int,
@@ -864,8 +886,6 @@ def haemers_upper_search(
     budget: int = 8,
     *,
     seed: int = 0,
-    m_cap: Optional[int] = None,
-    iterations: int = 80,
 ) -> Optional[HaemersCertificate]:
     """Numeric search for a rank-k certificate; only verified output escapes.
 
@@ -884,12 +904,7 @@ def haemers_upper_search(
     if budget < 1:
         raise ValueError(f"restart budget must be positive, got {budget}")
     n = s.n
-    cap = n**4 if m_cap is None else min(m_cap, n**4)
-    if m_schedule is None:
-        m_schedule = [1, 2, n, n * n]
-    schedule = sorted({m for m in m_schedule if 1 <= m <= cap})
-    if not schedule:
-        raise ValueError("empty block-count schedule after applying the cap")
+    schedule = block_count_schedule(n, m_schedule)
     proj = _span_projector(s)
     q = np.eye(n * n) - proj
     for m in schedule:
@@ -899,7 +914,7 @@ def haemers_upper_search(
             c = rng.standard_normal((k, mn)) + 1j * rng.standard_normal((k, mn))
             d = rng.standard_normal((k, mn)) + 1j * rng.standard_normal((k, mn))
             best = np.inf
-            for _ in range(iterations):
+            for _ in range(ALS_ITERATIONS):
                 a_blocks = [
                     c.conj().T[i * n : (i + 1) * n, :] for i in range(m)
                 ]
@@ -966,9 +981,7 @@ def _axis_witness(s: NcGraph) -> Optional[IndependentSystem]:
     return witness if verify_independent(s, witness) else None
 
 
-def haemers_lower(
-    s: NcGraph, *, budget: int = 10, seed: int = 0
-) -> LowerBoundReport:
+def haemers_lower(s: NcGraph, *, seed: int = 0) -> LowerBoundReport:
     """Max of the exact lower bounds: 1, the proper-subspace bound, witnesses.
 
     Every feasible certificate has rank at least 1; at least 2 when the
@@ -986,7 +999,7 @@ def haemers_lower(
     witness = _axis_witness(s)
     start = 2 if witness is None else witness.size + 1
     for target in range(start, s.n + 1):
-        found = alpha_lower_search(s, target, budget=budget, seed=seed)
+        found = alpha_lower_search(s, target, budget=LOWER_SEARCH_BUDGET, seed=seed)
         if found is None:
             break
         witness = found
@@ -1027,9 +1040,7 @@ def haemers_exact_decide(
     m: int,
     *,
     encoding: str = "factor",
-    degree_cap: int = DEFAULT_DEGREE_CAP,
     time_budget: float = DEFAULT_TIME_BUDGET,
-    search_budget: int = 4,
     seed: int = 0,
 ) -> ExactDecision:
     """Decide rank-k feasibility at block count m by Groebner completion.
@@ -1050,9 +1061,7 @@ def haemers_exact_decide(
             stacklevel=2,
         )
     system = encode_rank_feasibility(s, k, m, encoding=encoding)
-    decision = buchberger(
-        system.polynomials, degree_cap=degree_cap, time_budget=time_budget
-    )
+    decision = buchberger(system.polynomials, time_budget=time_budget)
     if decision.status == "no-common-root":
         if not check_cofactors(system.polynomials, decision.cofactors):
             raise RuntimeError(
@@ -1062,7 +1071,7 @@ def haemers_exact_decide(
     if decision.status == "timeout":
         return ExactDecision("unknown", None, decision)
     cert = haemers_upper_search(
-        s, k, m_schedule=[m], budget=search_budget, seed=seed
+        s, k, m_schedule=[m], budget=DECIDE_SEARCH_BUDGET, seed=seed
     )
     if cert is not None:
         return ExactDecision("feasible", cert, decision)

@@ -23,13 +23,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exactlinalg import ExactMatrix, GaussianRational, ONE, ZERO
 from .graphs import Graph, cycle_graph, independence_number, strong_product
 from .theta import lovasz_theta
 
 VARIANTS = ("unit-diagonal", "nonzero-diagonal")
+
+#: Off-diagonal values x swept by circulant_fitting_search: p/q in lowest
+#: terms with 0 < |p| <= 8 and q <= 4.
+CIRCULANT_SWEEP = tuple(
+    Fraction(p, q)
+    for q in (1, 2, 3, 4)
+    for p in range(-8, 9)
+    if p != 0 and math.gcd(abs(p), q) == 1
+)
 
 
 @dataclass(frozen=True)
@@ -184,9 +193,7 @@ def circulant_difference_set(g: Graph) -> Optional[frozenset[int]]:
     return frozenset(diffs) if expected == set(g.edges) else None
 
 
-def circulant_fitting_search(
-    g: Graph, xs: Optional[Iterable] = None
-) -> Optional[FittingMatrix]:
+def circulant_fitting_search(g: Graph) -> Optional[FittingMatrix]:
     """Sweep circulant matrices with first row 1 at 0 and x on the difference set.
 
     Returns the minimum-rank verified circulant fitting matrix over the
@@ -200,16 +207,9 @@ def circulant_fitting_search(
     if diffs is None or not diffs:
         return None
     n = g.n
-    if xs is None:
-        xs = [
-            Fraction(p, q)
-            for q in (1, 2, 3, 4)
-            for p in range(-8, 9)
-            if p != 0 and math.gcd(abs(p), q) == 1
-        ]
     best: Optional[FittingMatrix] = None
     best_rank = n
-    for x in xs:
+    for x in CIRCULANT_SWEEP:
         first = [ZERO] * n
         first[0] = ONE
         xg = GaussianRational(Fraction(x))

@@ -45,6 +45,7 @@ from .certificates import (
     HaemersCertificate,
     TpMapCertificate,
     VerificationError,
+    block_count_schedule,
     cohomomorphism_apply,
     conjugate_certificate,
     constructed_certificate,
@@ -289,8 +290,8 @@ def _cmd_nc_haemers(args: argparse.Namespace, cfg: CliConfig) -> int:
     if args.budget < 1:
         raise ValueError(f"--budget must be positive, got {args.budget}")
     s = _load_ncgraph(args.file)
+    schedule = block_count_schedule(s.n, _parse_schedule(args.m_schedule), cfg.m_cap)
     lower = haemers_lower(s, seed=args.seed)
-    schedule = _parse_schedule(args.m_schedule)
     k_max = args.k_max if args.k_max is not None else s.n
     # construct first; the search can only help below the constructed rank
     cert, method = constructed_certificate(s)
@@ -302,7 +303,6 @@ def _cmd_nc_haemers(args: argparse.Namespace, cfg: CliConfig) -> int:
             m_schedule=schedule,
             budget=args.budget,
             seed=args.seed,
-            m_cap=cfg.m_cap,
         )
         if found is not None:
             cert, method = found, "search"
@@ -375,24 +375,14 @@ def _summarize_cert(cert: HaemersCertificate, path: str) -> str:
     return f"n={cert.n}, m={cert.m}, rank bound k={cert.k} -> {path}"
 
 
-def _cmd_transform_tensor(args: argparse.Namespace, cfg: CliConfig) -> int:
+def _cmd_transform_pair(args: argparse.Namespace, cfg: CliConfig) -> int:
+    """tensor and dsum: args.cert_op combines the certificates, args.span_op the spans."""
     s, t = _load_ncgraph(args.system1), _load_ncgraph(args.system2)
     c1, c2 = _load_cert(args.cert1), _load_cert(args.cert2)
-    out = tensor_certificate(s, c1, t, c2)
+    out = args.cert_op(s, c1, t, c2)
     _write_json(args.output, out.to_json_dict())
     if args.system_out:
-        _write_json(args.system_out, tensor(s, t).to_json_dict())
-    print(_summarize_cert(out, args.output))
-    return 0
-
-
-def _cmd_transform_dsum(args: argparse.Namespace, cfg: CliConfig) -> int:
-    s, t = _load_ncgraph(args.system1), _load_ncgraph(args.system2)
-    c1, c2 = _load_cert(args.cert1), _load_cert(args.cert2)
-    out = direct_sum_certificate(s, c1, t, c2)
-    _write_json(args.output, out.to_json_dict())
-    if args.system_out:
-        _write_json(args.system_out, direct_sum_nc(s, t).to_json_dict())
+        _write_json(args.system_out, args.span_op(s, t).to_json_dict())
     print(_summarize_cert(out, args.output))
     return 0
 
@@ -559,23 +549,18 @@ def build_parser() -> argparse.ArgumentParser:
     tr = nsub.add_parser("transform", help="derive new certificates from old")
     tsub = tr.add_subparsers(dest="transform", required=True)
 
-    p = tsub.add_parser("tensor", parents=[common])
-    p.add_argument("system1")
-    p.add_argument("cert1")
-    p.add_argument("system2")
-    p.add_argument("cert2")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--system-out", help="also write the product span")
-    p.set_defaults(handler=_cmd_transform_tensor)
-
-    p = tsub.add_parser("dsum", parents=[common])
-    p.add_argument("system1")
-    p.add_argument("cert1")
-    p.add_argument("system2")
-    p.add_argument("cert2")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--system-out", help="also write the direct-sum span")
-    p.set_defaults(handler=_cmd_transform_dsum)
+    for name, cert_op, span_op, what in (
+        ("tensor", tensor_certificate, tensor, "product"),
+        ("dsum", direct_sum_certificate, direct_sum_nc, "direct-sum"),
+    ):
+        p = tsub.add_parser(name, parents=[common])
+        p.add_argument("system1")
+        p.add_argument("cert1")
+        p.add_argument("system2")
+        p.add_argument("cert2")
+        p.add_argument("-o", "--output", required=True)
+        p.add_argument("--system-out", help=f"also write the {what} span")
+        p.set_defaults(handler=_cmd_transform_pair, cert_op=cert_op, span_op=span_op)
 
     p = tsub.add_parser("conjugate", parents=[common])
     p.add_argument("system")

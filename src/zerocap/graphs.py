@@ -237,9 +237,9 @@ def independence_number(
     return best_size, witness
 
 
-def shannon_lower(g: Graph, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> float:
+def shannon_lower(g: Graph, k: int) -> float:
     """alpha(g^boxtimes k) ** (1/k), a lower bound on the Shannon capacity."""
-    alpha_k, _ = independence_number(strong_power(g, k), vertex_cap)
+    alpha_k, _ = independence_number(strong_power(g, k))
     return alpha_k ** (1.0 / k)
 
 

@@ -12,7 +12,9 @@ constructed — callers wanting a concrete point must extract one separately
 
 Rank feasibility of the block-matrix programs in this package is encoded
 polynomially by encode_rank_feasibility: complex variables are split into
-real and imaginary parts so the ideal lives over Q.  In the factor
+real and imaginary parts so the ideal lives over Q.  A constraint with
+Q(i) coefficients is built as the pair (re, im) of its real and imaginary
+parts, each a Polynomial, and both parts join the system.  In the factor
 encoding, a solution of the split system yields B = E * F with E, F free
 complex factor matrices of inner dimension k, so feasibility of the split
 system over C is equivalent to feasibility of the original program; the
@@ -30,7 +32,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .exactlinalg import GaussianRational, ONE, ZERO, as_scalar
+from .exactlinalg import GaussianRational
 from .ncgraph import NcGraph
 
 Monomial = tuple[int, ...]
@@ -236,76 +238,27 @@ def system_from_text(text: str, nvars: int) -> list[Polynomial]:
 
 
 # -- complex-coefficient working polynomials ----------------------------
+#
+# A polynomial with Q(i) coefficients in real variables is held as the
+# pair (re, im) of Polynomials over Q, its real and imaginary parts.
+
+CPair = tuple[Polynomial, Polynomial]
 
 
-class CPoly:
-    """Polynomial with Q(i) coefficients in real variables; split() emits
-    the two Q-coefficient polynomials (real and imaginary part)."""
+def _cadd(a: CPair, b: CPair) -> CPair:
+    return a[0] + b[0], a[1] + b[1]
 
-    __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Optional[dict[Monomial, GaussianRational]] = None):
-        self.nvars = nvars
-        self.terms: dict[Monomial, GaussianRational] = {}
-        if terms:
-            for m, c in terms.items():
-                if not c.is_zero():
-                    self.terms[m] = c
+def _csub(a: CPair, b: CPair) -> CPair:
+    return a[0] - b[0], a[1] - b[1]
 
-    @staticmethod
-    def constant(nvars: int, c) -> "CPoly":
-        c = as_scalar(c)
-        return CPoly(nvars, {(0,) * nvars: c} if not c.is_zero() else {})
 
-    @staticmethod
-    def variable(nvars: int, i: int, coeff=ONE) -> "CPoly":
-        m = [0] * nvars
-        m[i] = 1
-        return CPoly(nvars, {tuple(m): as_scalar(coeff)})
+def _cmul(a: CPair, b: CPair) -> CPair:
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
-    def __add__(self, other: "CPoly") -> "CPoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, ZERO) + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return CPoly(self.nvars, out)
 
-    def __sub__(self, other: "CPoly") -> "CPoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, ZERO) - c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return CPoly(self.nvars, out)
-
-    def __mul__(self, other: "CPoly") -> "CPoly":
-        out: dict[Monomial, GaussianRational] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mon_mul(m1, m2)
-                s = out.get(m, ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return CPoly(self.nvars, out)
-
-    def scale(self, c) -> "CPoly":
-        c = as_scalar(c)
-        return CPoly(self.nvars, {m: c * v for m, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def split(self) -> tuple[Polynomial, Polynomial]:
-        re_terms = {m: c.re for m, c in self.terms.items() if c.re != 0}
-        im_terms = {m: c.im for m, c in self.terms.items() if c.im != 0}
-        return Polynomial(self.nvars, re_terms), Polynomial(self.nvars, im_terms)
+def _cscale(a: CPair, c: GaussianRational) -> CPair:
+    return a[0].scale(c.re) - a[1].scale(c.im), a[0].scale(c.im) + a[1].scale(c.re)
 
 
 # -- Buchberger ----------------------------------------------------------
@@ -548,15 +501,6 @@ def encode_rank_feasibility(
     raise ValueError(f"unknown encoding {encoding!r}")
 
 
-def _split_constraints(cpolys: list[CPoly]) -> list[Polynomial]:
-    out = []
-    for cp in cpolys:
-        re_p, im_p = cp.split()
-        out.append(re_p)
-        out.append(im_p)
-    return _dedupe(out)
-
-
 def _encode_factor(s: NcGraph, k: int, m: int) -> EncodedSystem:
     n = s.n
     width = m * n
@@ -568,22 +512,24 @@ def _encode_factor(s: NcGraph, k: int, m: int) -> EncodedSystem:
                 names.append(f"re{which}_{t}_{col}")
                 names.append(f"im{which}_{t}_{col}")
 
-    def cvar(which: int, t: int, col: int, conj: bool) -> CPoly:
+    def cvar(which: int, t: int, col: int, conj: bool) -> CPair:
         base = 2 * (which * k * width + t * width + col)
-        re = CPoly.variable(nvars, base)
-        im = CPoly.variable(nvars, base + 1, GaussianRational(Fraction(0), Fraction(-1 if conj else 1)))
-        return re + im
+        im = Polynomial.variable(nvars, base + 1)
+        return Polynomial.variable(nvars, base), -im if conj else im
 
-    zero = CPoly(nvars)
+    zero = Polynomial(nvars), Polynomial(nvars)
+    one = Polynomial.constant(nvars, 1), Polynomial(nvars)
 
-    def block_entry(bi: int, bj: int, p: int, q: int) -> CPoly:
+    def block_entry(bi: int, bj: int, p: int, q: int) -> CPair:
         # (C_bi^dag D_bj)[p][q] = sum_t conj(C[t][bi*n+p]) * D[t][bj*n+q]
         total = zero
         for t in range(k):
-            total = total + cvar(0, t, bi * n + p, True) * cvar(1, t, bj * n + q, False)
+            total = _cadd(
+                total, _cmul(cvar(0, t, bi * n + p, True), cvar(1, t, bj * n + q, False))
+            )
         return total
 
-    constraints: list[CPoly] = []
+    constraints: list[CPair] = []
     ann = s.annihilator_rows()
     for bi in range(m):
         for bj in range(m):
@@ -594,17 +540,17 @@ def _encode_factor(s: NcGraph, k: int, m: int) -> EncodedSystem:
                     p, q = divmod(coord, n)
                     if coord not in entries:
                         entries[coord] = block_entry(bi, bj, p, q)
-                    total = total + entries[coord].scale(coeff)
+                    total = _cadd(total, _cscale(entries[coord], coeff))
                 constraints.append(total)
     for p in range(n):
         for q in range(n):
             total = zero
             for bi in range(m):
-                total = total + block_entry(bi, bi, p, q)
+                total = _cadd(total, block_entry(bi, bi, p, q))
             if p == q:
-                total = total - CPoly.constant(nvars, 1)
+                total = _csub(total, one)
             constraints.append(total)
-    return EncodedSystem(_split_constraints(constraints), names, "factor")
+    return EncodedSystem(_dedupe([p for pair in constraints for p in pair]), names, "factor")
 
 
 def _encode_minor(s: NcGraph, k: int, m: int) -> EncodedSystem:
@@ -624,17 +570,16 @@ def _encode_minor(s: NcGraph, k: int, m: int) -> EncodedSystem:
                 names.append(f"rez_{bi}_{bj}_{c}")
                 names.append(f"imz_{bi}_{bj}_{c}")
 
-    def zvar(bi: int, bj: int, c: int) -> CPoly:
+    def zvar(bi: int, bj: int, c: int) -> CPair:
         base = 2 * ((bi * m + bj) * d + c)
-        return CPoly.variable(nvars, base) + CPoly.variable(
-            nvars, base + 1, GaussianRational(Fraction(0), Fraction(1))
-        )
+        return Polynomial.variable(nvars, base), Polynomial.variable(nvars, base + 1)
 
     basis = s.basis
-    zero = CPoly(nvars)
-    entry_cache: dict[tuple[int, int], CPoly] = {}
+    zero = Polynomial(nvars), Polynomial(nvars)
+    one = Polynomial.constant(nvars, 1), Polynomial(nvars)
+    entry_cache: dict[tuple[int, int], CPair] = {}
 
-    def entry(r: int, c: int) -> CPoly:
+    def entry(r: int, c: int) -> CPair:
         if (r, c) in entry_cache:
             return entry_cache[(r, c)]
         bi, p = divmod(r, n)
@@ -643,37 +588,37 @@ def _encode_minor(s: NcGraph, k: int, m: int) -> EncodedSystem:
         for ci, bmat in enumerate(basis):
             coeff = bmat[p, q]
             if not coeff.is_zero():
-                total = total + zvar(bi, bj, ci).scale(coeff)
+                total = _cadd(total, _cscale(zvar(bi, bj, ci), coeff))
         entry_cache[(r, c)] = total
         return total
 
-    constraints: list[CPoly] = []
+    constraints: list[CPair] = []
     for p in range(n):
         for q in range(n):
             total = zero
             for bi in range(m):
-                total = total + entry(bi * n + p, bi * n + q)
+                total = _cadd(total, entry(bi * n + p, bi * n + q))
             if p == q:
-                total = total - CPoly.constant(nvars, 1)
+                total = _csub(total, one)
             constraints.append(total)
     if k + 1 <= size:
         for rows in combinations(range(size), k + 1):
             for cols in combinations(range(size), k + 1):
                 constraints.append(_det_cpoly([[entry(r, c) for c in cols] for r in rows]))
-    return EncodedSystem(_split_constraints(constraints), names, "minor")
+    return EncodedSystem(_dedupe([p for pair in constraints for p in pair]), names, "minor")
 
 
-def _det_cpoly(mat: list[list[CPoly]]) -> CPoly:
+def _det_cpoly(mat: list[list[CPair]]) -> CPair:
     n = len(mat)
     if n == 1:
         return mat[0][0]
-    nvars = mat[0][0].nvars
-    total = CPoly(nvars)
+    nvars = mat[0][0][0].nvars
+    total = Polynomial(nvars), Polynomial(nvars)
     for r in range(n):
         a = mat[r][0]
-        if a.is_zero():
+        if a[0].is_zero() and a[1].is_zero():
             continue
         sub = [row[1:] for i, row in enumerate(mat) if i != r]
-        term = a * _det_cpoly(sub)
-        total = total + term if r % 2 == 0 else total - term
+        term = _cmul(a, _det_cpoly(sub))
+        total = _cadd(total, term) if r % 2 == 0 else _csub(total, term)
     return total

@@ -34,7 +34,8 @@ from .exactlinalg import (
 from .graphs import independence_number
 from .ncgraph import NcGraph
 
-DEFAULT_DENOMINATOR_CAP = 10_000
+#: Denominator caps tried, in order, when rounding a float vector to Q(i).
+RATIONALIZE_DENOMINATORS = (16, 256, 10_000)
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,6 @@ def alpha_lower_search(
     l_target: int,
     budget: int = 20,
     *,
-    denominator_cap: int = DEFAULT_DENOMINATOR_CAP,
     seed: int = 0,
 ) -> Optional[IndependentSystem]:
     """Search for a verified independent system of size l_target.
@@ -179,7 +179,6 @@ def alpha_lower_search(
                         total += abs(np.vdot(vi, a @ vj)) ** 2
         return total
 
-    caps = [c for c in (16, 256) if c < denominator_cap] + [denominator_cap]
     for _ in range(budget):
         vecs = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(l_target)]
         vecs = [v / np.linalg.norm(v) for v in vecs]
@@ -203,7 +202,7 @@ def alpha_lower_search(
             best = min(best, r)
         if residual(vecs) > 1e-18:
             continue
-        for cap in caps:
+        for cap in RATIONALIZE_DENOMINATORS:
             cols = [_rationalize_vector(v, cap) for v in vecs]
             if any(c is None for c in cols):
                 continue

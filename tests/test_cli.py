@@ -210,6 +210,23 @@ def test_nc_haemers_rejects_a_budget_below_one(budget, tmp_path, capsys, monkeyp
     assert calls == [] and not cert_out.exists()
 
 
+@pytest.mark.parametrize("schedule", ["0", "100", ""])
+@pytest.mark.parametrize("span_name", ["full", "corner"])
+def test_nc_haemers_rejects_a_schedule_with_no_usable_block_count(
+    schedule, span_name, tmp_path, capsys, monkeypatch
+):
+    calls = _record_search(monkeypatch)
+    # the full algebra runs no search, so only an up-front check catches it
+    span = {"full": full_matrix_system(2), "corner": corner_family(Fraction(1, 2))}[span_name]
+    path = _write_span(tmp_path, f"{span_name}.json", span)
+    cert_out = tmp_path / "cert.json"
+    assert main(["nc", "haemers", path, "--m-schedule", schedule,
+                 "--cert-out", str(cert_out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert calls == [] and not cert_out.exists()
+
+
 def test_nc_verify_cert_ok(ci2_file, tmp_path, capsys):
     cert_path = _write_cert(tmp_path, "id2.json", identity_certificate(2))
     assert main(["nc", "verify-cert", ci2_file, cert_path]) == 0

@@ -6,14 +6,18 @@ the scalar-identity factor encoding at (k=1, m=1) was expanded on paper
 cofactor identities were computed manually.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from zerocap.groebner import (
-    CPoly,
     Polynomial,
+    _cadd,
+    _cmul,
+    _cscale,
+    _csub,
     buchberger,
     check_cofactors,
     degrevlex_key,
@@ -24,7 +28,11 @@ from zerocap.groebner import (
     system_from_text,
     system_to_text,
 )
+from zerocap.graphs import path_graph
 from zerocap.ncgraph import (
+    NcGraph,
+    constant_diagonal_system,
+    corner_family,
     diagonal_system,
     full_matrix_system,
     scalar_identity_system,
@@ -99,21 +107,26 @@ def test_monomial_helpers():
     assert mon_lcm((2, 0), (1, 1)) == (2, 1)
 
 
-# -- CPoly splitting -----------------------------------------------------
+# -- complex constraints as (re, im) pairs -------------------------------
 
 
 def test_cpoly_split():
     # (x1 + i*x2) * (x1 - i*x2) = x1^2 + x2^2, purely real
     from zerocap.exactlinalg import parse_scalar
 
-    a = CPoly.variable(2, 0) + CPoly.variable(2, 1, parse_scalar("i"))
-    b = CPoly.variable(2, 0) + CPoly.variable(2, 1, parse_scalar("-i"))
-    re, im = (a * b).split()
+    x1 = (Polynomial.variable(2, 0), Polynomial(2))
+    x2 = (Polynomial.variable(2, 1), Polynomial(2))
+    a = _cadd(x1, _cscale(x2, parse_scalar("i")))
+    b = _cadd(x1, _cscale(x2, parse_scalar("-i")))
+    re, im = _cmul(a, b)
     assert re == P("x1^2 + x2^2", 2)
     assert im.is_zero()
-    re2, im2 = a.split()
+    re2, im2 = a
     assert re2 == P("x1", 2)
     assert im2 == P("x2", 2)
+    # a - b = 2i*x2, and i * (a - b) = -2*x2
+    assert _csub(a, b) == (Polynomial(2), P("2*x2", 2))
+    assert _cscale(_csub(a, b), parse_scalar("i")) == (P("-2*x2", 2), Polynomial(2))
 
 
 # -- buchberger ----------------------------------------------------------
@@ -268,3 +281,33 @@ def test_encoding_deterministic():
     b = encode_rank_feasibility(s, k=1, m=2)
     assert system_to_text(a.polynomials) == system_to_text(b.polynomials)
     assert a.var_names == b.var_names
+
+
+def test_encodings_are_pinned():
+    # the ten rank-1 instances of the decide benchmark; any change to the
+    # encoders or the engine that alters a constraint, a variable name, the
+    # pair count or a cofactor changes the hash
+    instances = [
+        (scalar_identity_system(2), 1, "factor"),
+        (scalar_identity_system(2), 2, "factor"),
+        (diagonal_system(2), 1, "factor"),
+        (diagonal_system(2), 2, "factor"),
+        (constant_diagonal_system(2), 1, "factor"),
+        (constant_diagonal_system(2), 2, "factor"),
+        (scalar_identity_system(3), 1, "factor"),
+        (NcGraph.from_graph(path_graph(3)), 1, "factor"),
+        (corner_family(Fraction(1, 2)), 1, "factor"),
+        (scalar_identity_system(2), 3, "minor"),
+    ]
+    digest = hashlib.sha256()
+    for s, m, encoding in instances:
+        enc = encode_rank_feasibility(s, k=1, m=m, encoding=encoding)
+        dec = buchberger(enc.polynomials)
+        assert dec.status == "no-common-root"
+        digest.update(system_to_text(enc.polynomials).encode())
+        digest.update("\n".join(enc.var_names).encode())
+        digest.update(f"{dec.status} {dec.pairs_processed}\n".encode())
+        digest.update(system_to_text(dec.cofactors).encode())
+    assert digest.hexdigest() == (
+        "2957b9ea87c2274b6d86330ae9f4c909e8cc22f33435ee5dafaed28f4dc1795c"
+    )

@@ -1,10 +1,13 @@
-"""Every imported name in the package modules and the tests is used.
+"""Every imported name and every private module-level name is used.
 
 The repository has no linter, so this scans the source with ``ast``: a
 name bound by an import must be read somewhere else in the same file
 (a plain name, the base of an attribute, or inside a string annotation).
 ``zerocap/__init__.py`` is skipped because its imports are the public
-re-exports listed in ``__all__``.
+re-exports listed in ``__all__``.  In the package modules, a function,
+class or assignment at module level whose name starts with one
+underscore is private to its module, so it must be read there too; this
+catches helpers that a refactor leaves behind.
 """
 
 import ast
@@ -13,9 +16,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "zerocap").glob("*.py"))
 FILES = sorted(
     path
-    for path in [*(ROOT / "src" / "zerocap").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    for path in [*SOURCES, *(ROOT / "tests").glob("*.py")]
     if path.name != "__init__.py"
 )
 
@@ -41,7 +45,11 @@ def _annotations(tree: ast.Module):
 
 
 def _used_names(tree: ast.Module) -> set[str]:
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
     for annotation in _annotations(tree):
         # string annotations such as -> "ExactMatrix"
         for node in ast.walk(annotation):
@@ -61,3 +69,32 @@ def test_every_import_is_used(path):
         if name not in used
     ]
     assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    names: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_private_name_is_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used_names(tree)
+    unread = [
+        f"{path.parent.name}/{path.name}:{line}: {name}"
+        for name, line in sorted(_private_definitions(tree).items(), key=lambda kv: kv[1])
+        if name not in used
+    ]
+    assert not unread, "private name defined but never read:\n" + "\n".join(unread)
