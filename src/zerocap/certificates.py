@@ -41,6 +41,8 @@ from .exactlinalg import (
     GaussianRational,
     ONE,
     ZERO,
+    column_blocks,
+    hstack,
     require_int,
     require_list,
     rank_factorization,
@@ -190,24 +192,6 @@ class TpMapCertificate:
         )
 
 
-def _blocks(factor: ExactMatrix, n: int) -> list[ExactMatrix]:
-    """The k x n blocks of a k x mn factor, left to right."""
-    rows = range(factor.rows)
-    return [
-        factor.submatrix(rows, range(j, j + n)) for j in range(0, factor.cols, n)
-    ]
-
-
-def _hstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
-    rows = []
-    for r in range(mats[0].rows):
-        row: list[GaussianRational] = []
-        for mat in mats:
-            row.extend(mat.row(r))
-        rows.append(row)
-    return ExactMatrix.from_rows(rows)
-
-
 # -- verification -----------------------------------------------------
 
 
@@ -243,8 +227,8 @@ def verify_certificate(s: NcGraph, cert: HaemersCertificate) -> int:
         )
     n = cert.n
     total = ExactMatrix.zeros(n, n)
-    for i, c_i in enumerate(_blocks(cert.C, n)):
-        for j, blk in enumerate(_blocks(c_i.conj_transpose() @ cert.D, n)):
+    for i, c_i in enumerate(column_blocks(cert.C, n)):
+        for j, blk in enumerate(column_blocks(c_i.conj_transpose() @ cert.D, n)):
             if not s.contains(blk):
                 raise VerificationError(
                     f"block ({i}, {j}) of C^dag D lies outside the span",
@@ -480,7 +464,8 @@ def tensor_certificate(
     n1, n2 = c1.n, c2.n
 
     def kron(f1: ExactMatrix, f2: ExactMatrix) -> ExactMatrix:
-        return _hstack([a.kron(b) for a in _blocks(f1, n1) for b in _blocks(f2, n2)])
+        blocks2 = column_blocks(f2, n2)
+        return hstack([a.kron(b) for a in column_blocks(f1, n1) for b in blocks2])
 
     out = HaemersCertificate(
         n=n1 * n2, m=c1.m * c2.m, k=c1.k * c2.k, C=kron(c1.C, c2.C), D=kron(c1.D, c2.D)
@@ -509,11 +494,11 @@ def direct_sum_certificate(
     m = max(c1.m, c2.m)
 
     def padded(c: HaemersCertificate, factor: ExactMatrix) -> list[ExactMatrix]:
-        return _blocks(factor, c.n) + [ExactMatrix.zeros(c.k, c.n)] * (m - c.m)
+        return column_blocks(factor, c.n) + [ExactMatrix.zeros(c.k, c.n)] * (m - c.m)
 
     def stacked(f1: ExactMatrix, f2: ExactMatrix) -> ExactMatrix:
         pairs = zip(padded(c1, f1), padded(c2, f2))
-        return _hstack([a.direct_sum(b) for a, b in pairs])
+        return hstack([a.direct_sum(b) for a, b in pairs])
 
     out = HaemersCertificate(
         n=c1.n + c2.n, m=m, k=c1.k + c2.k, C=stacked(c1.C, c2.C), D=stacked(c1.D, c2.D)
@@ -536,7 +521,7 @@ def conjugate_certificate(
     verify_certificate(s, cert)
 
     def rotated(factor: ExactMatrix) -> ExactMatrix:
-        return _hstack([blk @ u for blk in _blocks(factor, cert.n)])
+        return hstack([blk @ u for blk in column_blocks(factor, cert.n)])
 
     out = replace(cert, C=rotated(cert.C), D=rotated(cert.D))
     verify_certificate(conjugate_by_unitary(s, u), out)
@@ -595,7 +580,7 @@ def cohomomorphism_apply(
     verify_certificate(target, cert)
 
     def composed(factor: ExactMatrix) -> ExactMatrix:
-        return _hstack([blk @ op for blk in _blocks(factor, n_t) for op in kraus])
+        return hstack([blk @ op for blk in column_blocks(factor, n_t) for op in kraus])
 
     out = HaemersCertificate(
         n=n_s, m=cert.m * len(kraus), k=cert.k, C=composed(cert.C), D=composed(cert.D)
@@ -718,14 +703,14 @@ def compression_lower_bound(
 def to_tp_map(s: NcGraph, cert: HaemersCertificate) -> TpMapCertificate:
     """Repackage a verified certificate as a trace-preserving map into M_k."""
     verify_certificate(s, cert)
-    f_ops, e_ops = _blocks(cert.C, cert.n), _blocks(cert.D, cert.n)
+    f_ops, e_ops = column_blocks(cert.C, cert.n), column_blocks(cert.D, cert.n)
     return TpMapCertificate(n=cert.n, k=cert.k, E=tuple(e_ops), F=tuple(f_ops))
 
 
 def from_tp_map(tp: TpMapCertificate) -> HaemersCertificate:
     """Inverse repackaging; block count = number of Kraus pairs, same k."""
-    c = _hstack(tp.F)
-    d = _hstack(tp.E)
+    c = hstack(tp.F)
+    d = hstack(tp.E)
     return HaemersCertificate(n=tp.n, m=len(tp.E), k=tp.k, C=c, D=d)
 
 
@@ -736,9 +721,12 @@ def _span_projector(s: NcGraph) -> np.ndarray:
     """Float orthogonal projector onto the span, from an exact Gram inverse."""
     basis = s.basis
     nn = s.n * s.n
-    v_exact = ExactMatrix.from_rows(
-        [[mat.vec()[coord] for mat in basis] for coord in range(nn)]
-    )
+    # column t holds the row-major coordinates of basis[t]
+    coords: dict[int, GaussianRational] = {}
+    for t, mat in enumerate(basis):
+        for coord, x in mat.nonzeros().items():
+            coords[coord * s.dim + t] = x
+    v_exact = ExactMatrix.from_nonzeros(nn, s.dim, coords)
     gram = v_exact.conj_transpose() @ v_exact
     gram_inv = gram.solve(ExactMatrix.identity(s.dim))
     if gram_inv is None:  # pragma: no cover - basis rows are independent

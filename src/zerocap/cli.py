@@ -10,7 +10,7 @@ Subcommands:
     selftest paper                   run the acceptance suite
 
 Every command takes ``--json`` for machine-readable output, ``--seed``
-(default 0) so searches are reproducible, and ``--config FILE`` pointing
+(a non-negative integer, default 0) so searches are reproducible, and ``--config FILE`` pointing
 at a key=value file for the caps (graph-n-cap, sdp-tol, groebner-budget,
 m-cap).  ``selftest paper`` also takes ``--jobs``, the one place the CLI
 fans work out.  Usage problems exit 2; a failed verification exits 1 with a
@@ -289,6 +289,8 @@ def _parse_schedule(text: Optional[str]) -> Optional[list[int]]:
 def _cmd_nc_haemers(args: argparse.Namespace, cfg: CliConfig) -> int:
     if args.budget < 1:
         raise ValueError(f"--budget must be positive, got {args.budget}")
+    if args.k_max is not None and args.k_max < 1:
+        raise ValueError(f"--k-max must be positive, got {args.k_max}")
     s = _load_ncgraph(args.file)
     schedule = block_count_schedule(s.n, _parse_schedule(args.m_schedule), cfg.m_cap)
     lower = haemers_lower(s, seed=args.seed)
@@ -484,10 +486,21 @@ def _cmd_selftest(args: argparse.Namespace, cfg: CliConfig) -> int:
 # -- parser --------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """--seed value: a non-negative integer, as numpy's generators require."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--seed", type=int, default=0, help="seed for all searches")
+    common.add_argument("--seed", type=_seed, default=0, help="seed for all searches")
     common.add_argument(
         "--config",
         metavar="FILE",

@@ -1,11 +1,11 @@
 """Exact linear algebra over the Gaussian rationals Q(i).
 
 Everything that certifies a bound in this package runs through this module:
-dense rank, exact linear solves and rank factorization, which share one
-fraction-free Gauss-Jordan kernel over the Gaussian integers Z[i], and a
-positive semidefiniteness test by recursive Schur complements.  Scalars are
-pairs of ``fractions.Fraction`` so there is no precision cap and no
-rounding, ever.
+matrices that store only their nonzero entries; rank, exact linear solves
+and rank factorization, which share one fraction-free Gauss-Jordan kernel
+over the Gaussian integers Z[i]; and a positive semidefiniteness test by
+recursive Schur complements.  Scalars are pairs of ``fractions.Fraction``
+so there is no precision cap and no rounding, ever.
 
 Floating point enters the package only in heuristic searches and the SDP
 solver; results coming from there are always re-checked here before being
@@ -18,6 +18,7 @@ import math
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Optional, Sequence, Union
 
 Rationalish = Union[int, Fraction]
@@ -224,16 +225,32 @@ def rationalize(x: float, max_denominator: int) -> Fraction:
 
 
 class ExactMatrix:
-    """Dense matrix over Q(i), immutable after construction."""
+    """Matrix over Q(i) that stores only its nonzero entries; immutable.
 
-    __slots__ = ("rows", "cols", "_e")
+    The entries live in a dict {row-major index: nonzero value}, so a zero
+    costs nothing to parse, store, add, multiply or compare.  ``row``,
+    ``vec``, ``to_list`` and ``to_strings`` still give dense views.
+    """
+
+    __slots__ = ("rows", "cols", "_nz")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[GaussianRational]):
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
         self.rows = rows
         self.cols = cols
-        self._e = tuple(entries)
+        self._nz = {k: x for k, x in enumerate(entries) if not x.is_zero()}
+
+    @classmethod
+    def _of(
+        cls, rows: int, cols: int, nz: dict[int, GaussianRational]
+    ) -> "ExactMatrix":
+        """Trusted constructor: nz holds only nonzero values at in-range indices."""
+        out = object.__new__(cls)
+        out.rows = rows
+        out.cols = cols
+        out._nz = nz
+        return out
 
     # -- constructors ------------------------------------------------
 
@@ -241,29 +258,58 @@ class ExactMatrix:
     def from_rows(cls, data: Sequence[Sequence[Scalarish]]) -> "ExactMatrix":
         nrows = len(data)
         ncols = len(data[0]) if nrows else 0
-        flat: list[GaussianRational] = []
-        for r in data:
+        nz: dict[int, GaussianRational] = {}
+        for i, r in enumerate(data):
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-            flat.extend(as_scalar(x) for x in r)
-        return cls(nrows, ncols, flat)
+            for j, x in enumerate(r):
+                x = as_scalar(x)
+                if not x.is_zero():
+                    nz[i * ncols + j] = x
+        return cls._of(nrows, ncols, nz)
 
     @classmethod
     def from_strings(cls, data: list[list[str]]) -> "ExactMatrix":
+        """Parse rows of scalar strings; the literal "0" is skipped unparsed."""
         if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
             raise ValueError("matrix must be a list of lists of scalar strings")
-        return cls.from_rows([[parse_scalar(s) for s in row] for row in data])
+        nrows = len(data)
+        ncols = len(data[0]) if nrows else 0
+        nz: dict[int, GaussianRational] = {}
+        for i, r in enumerate(data):
+            if len(r) != ncols:
+                raise ValueError("ragged rows")
+            for j, s in enumerate(r):
+                if s == "0":
+                    continue
+                x = parse_scalar(s)
+                if not x.is_zero():
+                    nz[i * ncols + j] = x
+        return cls._of(nrows, ncols, nz)
+
+    @classmethod
+    def from_nonzeros(
+        cls, rows: int, cols: int, entries: dict[int, GaussianRational]
+    ) -> "ExactMatrix":
+        """Matrix with the given {row-major index: value} entries, zero elsewhere."""
+        if rows < 0 or cols < 0:
+            raise ValueError("negative shape")
+        size = rows * cols
+        nz: dict[int, GaussianRational] = {}
+        for k, x in entries.items():
+            if not 0 <= k < size:
+                raise ValueError(f"index {k} outside a {rows} x {cols} matrix")
+            if not x.is_zero():
+                nz[k] = x
+        return cls._of(rows, cols, nz)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols, [ZERO] * (rows * cols))
+        return cls.from_nonzeros(rows, cols, {})
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        e = [ZERO] * (n * n)
-        for i in range(n):
-            e[i * n + i] = ONE
-        return cls(n, n, e)
+        return cls.from_nonzeros(n, n, {i * n + i: ONE for i in range(n)})
 
     @classmethod
     def column(cls, entries: Sequence[Scalarish]) -> "ExactMatrix":
@@ -275,25 +321,34 @@ class ExactMatrix:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(key)
-        return self._e[i * self.cols + j]
+        return self._nz.get(i * self.cols + j, ZERO)
+
+    def nonzeros(self) -> dict[int, GaussianRational]:
+        """A fresh dict {row-major index: value} of the nonzero entries."""
+        return dict(self._nz)
 
     def row(self, i: int) -> tuple[GaussianRational, ...]:
-        return self._e[i * self.cols : (i + 1) * self.cols]
+        start = i * self.cols
+        return tuple(map(self._nz.get, range(start, start + self.cols), repeat(ZERO)))
 
     def to_list(self) -> list[list[GaussianRational]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def to_strings(self) -> list[list[str]]:
-        return [[format_scalar(x) for x in self.row(i)] for i in range(self.rows)]
+        text = {k: format_scalar(x) for k, x in self._nz.items()}
+        c = self.cols
+        return [
+            list(map(text.get, range(i * c, (i + 1) * c), repeat("0")))
+            for i in range(self.rows)
+        ]
 
     def to_complex(self):
         import numpy as np
 
-        a = np.empty((self.rows, self.cols), dtype=complex)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                a[i, j] = self._e[i * self.cols + j].to_complex()
-        return a
+        a = np.zeros(self.rows * self.cols, dtype=complex)
+        for k, x in self._nz.items():
+            a[k] = x.to_complex()
+        return a.reshape(self.rows, self.cols)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -303,40 +358,52 @@ class ExactMatrix:
         return (
             isinstance(other, ExactMatrix)
             and self.shape == other.shape
-            and self._e == other._e
+            and self._nz == other._nz
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._e))
+        return hash((self.rows, self.cols, frozenset(self._nz.items())))
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols})"
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for x in self._e)
+        return not self._nz
 
     # -- algebra -----------------------------------------------------
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch in +")
-        return ExactMatrix(
-            self.rows, self.cols, [a + b for a, b in zip(self._e, other._e)]
-        )
+        out = dict(self._nz)
+        for k, b in other._nz.items():
+            a = out.get(k)
+            if a is None:
+                out[k] = b
+            elif (total := a + b).is_zero():
+                del out[k]
+            else:
+                out[k] = total
+        return ExactMatrix._of(self.rows, self.cols, out)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch in -")
-        return ExactMatrix(
-            self.rows, self.cols, [a - b for a, b in zip(self._e, other._e)]
-        )
+        return self + (-other)
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, [-a for a in self._e])
+        return ExactMatrix._of(
+            self.rows, self.cols, {k: -a for k, a in self._nz.items()}
+        )
 
     def scale(self, z: Scalarish) -> "ExactMatrix":
         z = as_scalar(z)
-        return ExactMatrix(self.rows, self.cols, [z * a for a in self._e])
+        if z.is_zero():
+            return ExactMatrix._of(self.rows, self.cols, {})
+        # a product of nonzero elements of a field is nonzero
+        return ExactMatrix._of(
+            self.rows, self.cols, {k: z * a for k, a in self._nz.items()}
+        )
 
     def __mul__(self, z: Scalarish) -> "ExactMatrix":
         return self.scale(z)
@@ -348,27 +415,29 @@ class ExactMatrix:
             raise ValueError(
                 f"shape mismatch in @: {self.shape} x {other.shape}"
             )
-        n, k, m = self.rows, self.cols, other.cols
-        out = [ZERO] * (n * m)
-        for i in range(n):
-            rowbase = i * k
-            for t in range(k):
-                a = self._e[rowbase + t]
-                if a.is_zero():
-                    continue
-                obase = t * m
-                for j in range(m):
-                    b = other._e[obase + j]
-                    if not b.is_zero():
-                        out[i * m + j] = out[i * m + j] + a * b
-        return ExactMatrix(n, m, out)
+        k, m = self.cols, other.cols
+        # the nonzeros of other, grouped by row
+        other_rows: dict[int, list[tuple[int, GaussianRational]]] = {}
+        for idx, b in other._nz.items():
+            t, j = divmod(idx, m)
+            other_rows.setdefault(t, []).append((j, b))
+        out: dict[int, GaussianRational] = {}
+        for idx, a in self._nz.items():
+            i, t = divmod(idx, k)
+            base = i * m
+            for j, b in other_rows.get(t, ()):
+                key = base + j
+                prev = out.get(key)
+                out[key] = a * b if prev is None else prev + a * b
+        return ExactMatrix._of(
+            self.rows, m, {key: x for key, x in out.items() if not x.is_zero()}
+        )
 
     def conj_transpose(self) -> "ExactMatrix":
-        out = [ZERO] * (self.rows * self.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[j * self.rows + i] = self._e[i * self.cols + j].conj()
-        return ExactMatrix(self.cols, self.rows, out)
+        n, m = self.rows, self.cols
+        return ExactMatrix._of(
+            m, n, {(k % m) * n + k // m: a.conj() for k, a in self._nz.items()}
+        )
 
     @property
     def H(self) -> "ExactMatrix":
@@ -376,48 +445,60 @@ class ExactMatrix:
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         """Kronecker product; block (i,j) of the result is self[i,j] * other."""
-        n, m = self.rows, self.cols
+        m = self.cols
         p, q = other.rows, other.cols
-        out = [ZERO] * (n * p * m * q)
-        W = m * q
-        for i in range(n):
-            for j in range(m):
-                a = self._e[i * m + j]
-                if a.is_zero():
-                    continue
-                for r in range(p):
-                    outbase = (i * p + r) * W + j * q
-                    obase = r * q
-                    for s in range(q):
-                        out[outbase + s] = a * other._e[obase + s]
-        return ExactMatrix(n * p, m * q, out)
+        width = m * q
+        # offset of other's entry (r, s) inside its block of the result
+        placed = [((k // q) * width + k % q, b) for k, b in other._nz.items()]
+        out: dict[int, GaussianRational] = {}
+        for k, a in self._nz.items():
+            i, j = divmod(k, m)
+            corner = i * p * width + j * q
+            for off, b in placed:
+                out[corner + off] = a * b
+        return ExactMatrix._of(self.rows * p, width, out)
 
     def direct_sum(self, other: "ExactMatrix") -> "ExactMatrix":
         n, m = self.rows, self.cols
-        p, q = other.rows, other.cols
-        out = [ZERO] * ((n + p) * (m + q))
-        W = m + q
-        for i in range(n):
-            for j in range(m):
-                out[i * W + j] = self._e[i * m + j]
-        for r in range(p):
-            for s in range(q):
-                out[(n + r) * W + (m + s)] = other._e[r * q + s]
-        return ExactMatrix(n + p, m + q, out)
+        q = other.cols
+        width = m + q
+        out = {(k // m) * width + k % m: a for k, a in self._nz.items()}
+        corner = n * width + m
+        for k, b in other._nz.items():
+            out[corner + (k // q) * width + k % q] = b
+        return ExactMatrix._of(n + other.rows, width, out)
 
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "ExactMatrix":
-        out = [self._e[i * self.cols + j] for i in row_idx for j in col_idx]
-        return ExactMatrix(len(row_idx), len(col_idx), out)
+    def submatrix(
+        self, row_idx: Sequence[int], col_idx: Sequence[int]
+    ) -> "ExactMatrix":
+        for idx, bound in ((row_idx, self.rows), (col_idx, self.cols)):
+            if any(not 0 <= x < bound for x in idx):
+                raise IndexError("submatrix index out of range")
+        # where each source row and column lands (an index may repeat)
+        row_at: dict[int, list[int]] = {}
+        for a, i in enumerate(row_idx):
+            row_at.setdefault(i, []).append(a)
+        col_at: dict[int, list[int]] = {}
+        for b, j in enumerate(col_idx):
+            col_at.setdefault(j, []).append(b)
+        w = len(col_idx)
+        out: dict[int, GaussianRational] = {}
+        for k, x in self._nz.items():
+            i, j = divmod(k, self.cols)
+            for a in row_at.get(i, ()):
+                for b in col_at.get(j, ()):
+                    out[a * w + b] = x
+        return ExactMatrix._of(len(row_idx), w, out)
 
     def vec(self) -> tuple[GaussianRational, ...]:
         """Row-major flattening, the coordinate convention used for spans."""
-        return self._e
+        return tuple(map(self._nz.get, range(self.rows * self.cols), repeat(ZERO)))
 
     # -- rank, solve, psd ---------------------------------------------
 
     def rank(self) -> int:
         """Exact rank: the pivot count of the fraction-free elimination."""
-        pivots, _, _ = _fraction_free_rref(self.to_list(), self.cols)
+        pivots, _, _ = _fraction_free_rref(self, self.cols)
         return len(pivots)
 
     def solve(self, b: "ExactMatrix") -> Optional["ExactMatrix"]:
@@ -430,8 +511,7 @@ class ExactMatrix:
         if b.rows != self.rows:
             raise ValueError("rhs row count mismatch")
         m, w = self.cols, b.cols
-        augmented = [self.row(i) + b.row(i) for i in range(self.rows)]
-        pivots, rows, d = _fraction_free_rref(augmented, m)
+        pivots, rows, d = _fraction_free_rref(hstack([self, b]), m)
         if any(v != (0, 0) for row in rows[len(pivots):] for v in row[m:]):
             return None
         x = [[ZERO] * w for _ in range(m)]
@@ -454,7 +534,8 @@ class ExactMatrix:
         if not self.is_hermitian():
             return False
         idx = list(range(self.rows))
-        M = {(i, j): self._e[i * self.cols + j] for i in idx for j in idx}
+        get = self._nz.get
+        M = {(i, j): get(i * self.cols + j, ZERO) for i in idx for j in idx}
         while idx:
             drop = []
             for i in idx:
@@ -481,6 +562,33 @@ class ExactMatrix:
         return True
 
 
+def hstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
+    """The matrices side by side; they share a row count."""
+    width = sum(mat.cols for mat in mats)
+    out: dict[int, GaussianRational] = {}
+    offset = 0
+    for mat in mats:
+        if mat.rows != mats[0].rows:
+            raise ValueError("hstack needs equal row counts")
+        for k, x in mat._nz.items():
+            i, j = divmod(k, mat.cols)
+            out[i * width + offset + j] = x
+        offset += mat.cols
+    return ExactMatrix._of(mats[0].rows, width, out)
+
+
+def column_blocks(a: ExactMatrix, width: int) -> list[ExactMatrix]:
+    """a cut into blocks of `width` columns, left to right (inverse of hstack)."""
+    if width < 1 or a.cols % width:
+        raise ValueError(f"{a.cols} columns do not split into blocks of {width}")
+    parts: list[dict[int, GaussianRational]] = [{} for _ in range(a.cols // width)]
+    for k, x in a._nz.items():
+        i, j = divmod(k, a.cols)
+        block, col = divmod(j, width)
+        parts[block][i * width + col] = x
+    return [ExactMatrix._of(a.rows, width, part) for part in parts]
+
+
 def rank_factorization(a: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
     """Exact full-rank factorization a = p @ q with inner dimension rank(a).
 
@@ -489,8 +597,8 @@ def rank_factorization(a: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
     by q.  A zero matrix factors through inner dimension 0 (p is rows x 0).
     """
     n, m = a.rows, a.cols
-    pivots, rows, d = _fraction_free_rref(a.to_list(), m)
-    p = ExactMatrix.from_rows([[a[i, c] for c in pivots] for i in range(n)])
+    pivots, rows, d = _fraction_free_rref(a, m)
+    p = a.submatrix(range(n), pivots)
     if not pivots:
         return p, ExactMatrix.zeros(0, m)
     q = ExactMatrix.from_rows([[_divide(v, d) for v in row] for row in rows[: len(pivots)]])
@@ -504,14 +612,22 @@ def rank_factorization(a: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
 GaussianInt = tuple[int, int]
 
 
-def _integer_row(row: Sequence[GaussianRational]) -> list[GaussianInt]:
-    """row scaled by the lcm of its denominators, as Gaussian integers."""
-    scale = math.lcm(*(x.re.denominator for x in row), *(x.im.denominator for x in row))
-    return [
-        (x.re.numerator * (scale // x.re.denominator),
-         x.im.numerator * (scale // x.im.denominator))
-        for x in row
-    ]
+def _integer_rows(a: ExactMatrix) -> list[list[GaussianInt]]:
+    """The rows of a, each scaled by the lcm of its denominators, in Z[i]."""
+    entries: list[list[tuple[int, GaussianRational]]] = [[] for _ in range(a.rows)]
+    for k, x in a.nonzeros().items():
+        i, j = divmod(k, a.cols)
+        entries[i].append((j, x))
+    out = []
+    for row in entries:
+        scale = math.lcm(*(x.re.denominator for _, x in row),
+                         *(x.im.denominator for _, x in row))
+        dense = [(0, 0)] * a.cols
+        for j, x in row:
+            dense[j] = (x.re.numerator * (scale // x.re.denominator),
+                        x.im.numerator * (scale // x.im.denominator))
+        out.append(dense)
+    return out
 
 
 def _divide(x: GaussianInt, d: GaussianInt) -> GaussianRational:
@@ -524,7 +640,7 @@ def _divide(x: GaussianInt, d: GaussianInt) -> GaussianRational:
 
 
 def _fraction_free_rref(
-    rows: Sequence[Sequence[GaussianRational]], ncols: int
+    a: ExactMatrix, ncols: int
 ) -> tuple[list[int], list[list[GaussianInt]], GaussianInt]:
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968) over Z[i].
 
@@ -542,7 +658,7 @@ def _fraction_free_rref(
     t of the RREF for t < len(pivots); the other rows vanish in the first
     ncols columns.
     """
-    out = [_integer_row(row) for row in rows]
+    out = _integer_rows(a)
     nrows = len(out)
     width = len(out[0]) if out else 0
     pivots: list[int] = []

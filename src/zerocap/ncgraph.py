@@ -32,17 +32,6 @@ from .exactlinalg import (
 from .graphs import Graph
 
 
-def _matrix_to_row(a: ExactMatrix) -> SparseRow:
-    return {k: v for k, v in enumerate(a.vec()) if not v.is_zero()}
-
-
-def _row_to_matrix(row: SparseRow, n: int) -> ExactMatrix:
-    e = [ZERO] * (n * n)
-    for k, v in row.items():
-        e[k] = v
-    return ExactMatrix(n, n, e)
-
-
 def _adjoint_row(row: SparseRow, n: int) -> SparseRow:
     return {(k % n) * n + (k // n): v.conj() for k, v in row.items()}
 
@@ -76,7 +65,7 @@ class NcGraph:
         for a in mats:
             if a.shape != (n, n):
                 raise ValueError(f"generator shape {a.shape} != ({n},{n})")
-            rows.append(_matrix_to_row(a))
+            rows.append(a.nonzeros())
         return NcGraph(n, rows)
 
     @staticmethod
@@ -96,8 +85,8 @@ class NcGraph:
 
     @property
     def basis(self) -> list[ExactMatrix]:
-        """Canonical basis as dense matrices."""
-        return [_row_to_matrix(r, self.n) for r in self._rows]
+        """Canonical basis as matrices."""
+        return [ExactMatrix.from_nonzeros(self.n, self.n, r) for r in self._rows]
 
     @property
     def is_self_adjoint(self) -> bool:
@@ -116,7 +105,7 @@ class NcGraph:
     def contains(self, a: ExactMatrix) -> bool:
         if a.shape != (self.n, self.n):
             return False
-        return not reduce_row(_matrix_to_row(a), self._echelon)
+        return not reduce_row(a.nonzeros(), self._echelon)
 
     def __eq__(self, other: object) -> bool:
         return (

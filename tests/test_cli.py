@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, output shapes, and disk-backed re-verification."""
 
+import argparse
 import json
 from fractions import Fraction
 
@@ -208,6 +209,38 @@ def test_nc_haemers_rejects_a_budget_below_one(budget, tmp_path, capsys, monkeyp
                  "--cert-out", str(cert_out)]) == 2
     assert capsys.readouterr().err == f"error: --budget must be positive, got {budget}\n"
     assert calls == [] and not cert_out.exists()
+
+
+@pytest.mark.parametrize("k_max", ["0", "-1"])
+def test_nc_haemers_rejects_a_k_max_below_one(k_max, tmp_path, capsys, monkeypatch):
+    calls = _record_search(monkeypatch)
+    span = _write_span(tmp_path, "corner.json", corner_family(Fraction(1, 2)))
+    cert_out = tmp_path / "cert.json"
+    assert main(["nc", "haemers", span, "--k-max", k_max,
+                 "--cert-out", str(cert_out)]) == 2
+    assert capsys.readouterr().err == f"error: --k-max must be positive, got {k_max}\n"
+    assert calls == [] and not cert_out.exists()
+
+
+def _command_paths(parser, prefix=()):
+    """The word sequences naming every leaf command of an argparse parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [prefix]
+    return [path for name, sub in subs[0].choices.items()
+            for path in _command_paths(sub, (*prefix, name))]
+
+
+@pytest.mark.parametrize(
+    "command", _command_paths(cli_module.build_parser()), ids=" ".join
+)
+def test_every_command_rejects_a_negative_seed(command, capsys):
+    # a file that does not exist: loading anything would fail with another message
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--seed", "-1", "no-such-file.json"])
+    assert exc.value.code == 2
+    err_lines = [l for l in capsys.readouterr().err.splitlines() if "error:" in l]
+    assert len(err_lines) == 1 and "--seed" in err_lines[0]
 
 
 @pytest.mark.parametrize("schedule", ["0", "100", ""])

@@ -18,7 +18,9 @@ from zerocap.exactlinalg import (
     ONE,
     ZERO,
     as_scalar,
+    column_blocks,
     format_scalar,
+    hstack,
     parse_scalar,
     rank_factorization,
     rationalize,
@@ -442,3 +444,124 @@ def test_sparse_rref_reduce_membership():
     outside = {0: ONE}
     assert reduce_row(inside, ech) == {}
     assert reduce_row(outside, ech) != {}
+
+
+# --- sparse storage against a dense reference -------------------------
+
+SPARSE_POOL = [
+    G(Fraction(a, b), Fraction(c)) for a in (-1, 1, 2) for b in (1, 2) for c in (-1, 0, 1)
+]
+
+
+def zero_heavy(rng, rows, cols):
+    """Dense list-of-lists with about seven entries in ten zero.
+
+    The small value pool makes sums cancel to zero now and then, so the
+    arithmetic has to drop entries it creates as well as skip absent ones.
+    """
+    return [
+        [rng.choice(SPARSE_POOL) if rng.random() < 0.3 else ZERO for _ in range(cols)]
+        for _ in range(rows)
+    ]
+
+
+def assert_matches(mat, ref, rows, cols):
+    assert mat.shape == (rows, cols)
+    assert mat.to_list() == ref
+    assert [mat.row(i) for i in range(rows)] == [tuple(r) for r in ref]
+    assert mat.vec() == tuple(x for r in ref for x in r)
+    assert mat.to_strings() == [[format_scalar(x) for x in r] for r in ref]
+    assert mat.nonzeros() == {
+        i * cols + j: x
+        for i, r in enumerate(ref)
+        for j, x in enumerate(r)
+        if not x.is_zero()
+    }
+    assert mat.is_zero() == all(x.is_zero() for r in ref for x in r)
+    for i in range(rows):
+        for j in range(cols):
+            assert mat[i, j] == ref[i][j]
+    want = [[complex(float(x.re), float(x.im)) for x in r] for r in ref]
+    assert mat.to_complex().tolist() == want
+
+
+def test_sparse_operations_match_a_dense_reference():
+    rng = random.Random(20261018)
+    for _ in range(60):
+        n, k, m = (rng.randint(1, 4) for _ in range(3))
+        a_ref, b_ref = zero_heavy(rng, n, k), zero_heavy(rng, n, k)
+        c_ref = zero_heavy(rng, k, m)
+        a, b = ExactMatrix.from_rows(a_ref), ExactMatrix(n, k, [x for r in b_ref for x in r])
+        c = ExactMatrix.from_strings([[format_scalar(x) for x in r] for r in c_ref])
+        assert_matches(a, a_ref, n, k)
+        assert_matches(b, b_ref, n, k)
+        assert_matches(c, c_ref, k, m)
+        z = rng.choice(SPARSE_POOL + [ZERO])
+
+        assert_matches(a + b, [[x + y for x, y in zip(r, s)] for r, s in zip(a_ref, b_ref)], n, k)
+        assert_matches(a - b, [[x - y for x, y in zip(r, s)] for r, s in zip(a_ref, b_ref)], n, k)
+        assert_matches(-a, [[-x for x in r] for r in a_ref], n, k)
+        assert_matches(a.scale(z), [[z * x for x in r] for r in a_ref], n, k)
+        product = [
+            [sum((a_ref[i][t] * c_ref[t][j] for t in range(k)), ZERO) for j in range(m)]
+            for i in range(n)
+        ]
+        assert_matches(a @ c, product, n, m)
+        assert_matches(a.conj_transpose(), [[a_ref[i][j].conj() for i in range(n)]
+                                            for j in range(k)], k, n)
+        kron = [
+            [a_ref[i][j] * c_ref[r][s] for j in range(k) for s in range(m)]
+            for i in range(n) for r in range(k)
+        ]
+        assert_matches(a.kron(c), kron, n * k, k * m)
+        dsum = [r + [ZERO] * m for r in a_ref] + [[ZERO] * k + r for r in c_ref]
+        assert_matches(a.direct_sum(c), dsum, n + k, k + m)
+        row_idx = [rng.randrange(n) for _ in range(rng.randint(0, 3))]
+        col_idx = [rng.randrange(k) for _ in range(rng.randint(0, 3))]
+        assert_matches(a.submatrix(row_idx, col_idx),
+                       [[a_ref[i][j] for j in col_idx] for i in row_idx],
+                       len(row_idx), len(col_idx))
+        stacked = hstack([a, b, -a])
+        assert_matches(stacked, [r + s + [-x for x in r] for r, s in zip(a_ref, b_ref)],
+                       n, 3 * k)
+        assert column_blocks(stacked, k) == [a, b, -a]
+
+        assert (a == b) == (a_ref == b_ref)
+        assert a + b == b + a and hash(a + b) == hash(b + a)
+        assert a == ExactMatrix.from_nonzeros(n, k, a.nonzeros())
+
+
+def test_sparse_storage_ignores_how_zeros_were_written():
+    ref = [[ZERO, G(Fraction(1, 2), Fraction(-1))], [ZERO, ZERO], [ONE, ZERO]]
+    from_scalars = ExactMatrix.from_rows(ref)
+    flat = ExactMatrix(3, 2, [x for r in ref for x in r])
+    texts = ExactMatrix.from_strings(
+        [["0", "1/2-1*i"], ["0/3", "-0"], ["1", "0+0*i"]]
+    )
+    assert from_scalars == flat == texts
+    assert hash(from_scalars) == hash(flat) == hash(texts)
+    assert texts.nonzeros() == {1: ref[0][1], 4: ONE}
+    assert texts.to_strings() == [["0", "1/2-1*i"], ["0", "0"], ["1", "0"]]
+
+
+def test_sparse_arithmetic_stores_no_zeros():
+    rng = random.Random(7)
+    x = ExactMatrix.from_rows(zero_heavy(rng, 4, 5))
+    assert (x - x).nonzeros() == {} and x - x == ExactMatrix.zeros(4, 5)
+    assert (x + (-x)).nonzeros() == {}
+    for zero in (0, Fraction(0), ZERO):
+        assert x.scale(zero).nonzeros() == {} and x.scale(zero) == ExactMatrix.zeros(4, 5)
+    assert (x @ ExactMatrix.zeros(5, 2)).nonzeros() == {}
+    assert ExactMatrix.from_nonzeros(2, 2, {0: ZERO, 3: ONE}).nonzeros() == {3: ONE}
+    with pytest.raises(ValueError):
+        ExactMatrix.from_nonzeros(2, 2, {4: ONE})
+
+
+@pytest.mark.parametrize(
+    "data",
+    [[[0, "1"]], [["1", "0"], ["1"]], [["1"], "0"], [["1/0", "0"]], "0", [["0", None]]],
+    ids=["int-zero", "ragged", "row-not-a-list", "zero-denominator", "not-a-list", "none"],
+)
+def test_from_strings_rejections(data):
+    with pytest.raises(ValueError):
+        ExactMatrix.from_strings(data)
