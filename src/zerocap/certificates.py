@@ -292,10 +292,7 @@ def full_matrix_certificate(n: int) -> HaemersCertificate:
     B = u u^dag; its diagonal blocks are the diagonal matrix units and
     sum to I_n.  Also a valid PSD certificate (C = D).
     """
-    row = [[ZERO] * (n * n)]
-    for i in range(n):
-        row[0][i * n + i] = ONE
-    c = ExactMatrix.from_rows(row)
+    c = ExactMatrix.from_nonzeros(1, n * n, {i * n + i: ONE for i in range(n)})
     return HaemersCertificate(n=n, m=n, k=1, C=c, D=c)
 
 
@@ -358,31 +355,24 @@ def random_certificate(
 
 
 def lift_graph_certificate(fm: FittingMatrix) -> HaemersCertificate:
-    """Turn a unit-diagonal fitting matrix into a span certificate.
+    """Turn a fitting matrix into a span certificate.
 
-    The certified matrix puts entry B_ij of the fitting matrix on the
-    (i, j) matrix unit of block (i, j), so blocks land in the graph span
-    and the unit diagonal turns into the block-trace condition.  Rank is
-    preserved exactly.  Nonzero-diagonal inputs must be rescaled first
-    (see classical.unit_diagonal_form).
+    A nonzero-diagonal input is first row-scaled to unit diagonal
+    (classical.unit_diagonal_form), which keeps its rank.  The certified
+    matrix puts entry B_ij of the fitting matrix on the (i, j) matrix unit
+    of block (i, j), so blocks land in the graph span and the unit diagonal
+    turns into the block-trace condition.  Rank is preserved exactly.
     """
-    if fm.variant != "unit-diagonal":
-        raise VerificationError(
-            "lift needs the unit-diagonal variant; apply unit_diagonal_form first",
-            kind="shape",
-        )
     verify_fitting(fm)
     n = fm.graph.n
-    p_fac, q_fac = rank_factorization(fm.b)
-    r = q_fac.rows
-    c_rows = [[ZERO] * (n * n) for _ in range(r)]
-    d_rows = [[ZERO] * (n * n) for _ in range(r)]
-    for t in range(r):
-        for i in range(n):
-            c_rows[t][i * n + i] = p_fac[i, t].conj()
-            d_rows[t][i * n + i] = q_fac[t, i]
+    p_fac, q_fac = rank_factorization(unit_diagonal_form(fm).b)
+    r, nn = q_fac.rows, n * n
+    # in each factor, block i of row t holds one entry, in column i
+    c = {t * nn + i * n + i: p_fac[i, t].conj() for t in range(r) for i in range(n)}
+    d = {t * nn + i * n + i: q_fac[t, i] for t in range(r) for i in range(n)}
     return HaemersCertificate(
-        n=n, m=n, k=r, C=ExactMatrix.from_rows(c_rows), D=ExactMatrix.from_rows(d_rows)
+        n=n, m=n, k=r, C=ExactMatrix.from_nonzeros(r, nn, c),
+        D=ExactMatrix.from_nonzeros(r, nn, d),
     )
 
 
@@ -404,7 +394,7 @@ def constructed_certificate(s: NcGraph) -> tuple[HaemersCertificate, str]:
     if g is not None:
         rank, fm = best_fitting_matrix(g)
         if rank < best[0].k:
-            best = lift_graph_certificate(unit_diagonal_form(fm)), "fitting-lift"
+            best = lift_graph_certificate(fm), "fitting-lift"
     return best
 
 
@@ -815,36 +805,38 @@ def _polish_factor(
     mn = m * n
     ch = c_exact.conj_transpose()
     ann = s.annihilator_rows()
-    rows: list[list[GaussianRational]] = []
-    rhs: list[GaussianRational] = []
+    # unknowns: D in row-major order, D[t, c] at index t * mn + c
     nv = k * mn
+    entries: dict[int, GaussianRational] = {}
+    rhs: dict[int, GaussianRational] = {}
+
+    def add(row: int, col: int, x: GaussianRational) -> None:
+        key = row * nv + col
+        entries[key] = entries.get(key, ZERO) + x
+
+    row = 0
     for i in range(m):
         for j in range(m):
             for a_row in ann:
-                row = [ZERO] * nv
                 for coord, val in a_row.items():
                     p, qq = divmod(coord, n)
                     for t in range(k):
-                        col = t * mn + j * n + qq
-                        row[col] = row[col] + val * ch[i * n + p, t]
-                rows.append(row)
-                rhs.append(ZERO)
+                        add(row, t * mn + j * n + qq, val * ch[i * n + p, t])
+                row += 1
     for p in range(n):
         for qq in range(n):
-            row = [ZERO] * nv
             for i in range(m):
                 for t in range(k):
-                    col = t * mn + i * n + qq
-                    row[col] = row[col] + ch[i * n + p, t]
-            rows.append(row)
-            rhs.append(ONE if p == qq else ZERO)
-    a_mat = ExactMatrix.from_rows(rows)
-    sol = a_mat.solve(ExactMatrix.column(rhs))
+                    add(row, t * mn + i * n + qq, ch[i * n + p, t])
+            if p == qq:
+                rhs[row] = ONE
+            row += 1
+    a_mat = ExactMatrix.from_nonzeros(row, nv, entries)
+    sol = a_mat.solve(ExactMatrix.from_nonzeros(row, 1, rhs))
     if sol is None:
         return None
-    d_rows = [[sol[t * mn + c, 0] for c in range(mn)] for t in range(k)]
     cert = HaemersCertificate(
-        n=n, m=m, k=k, C=c_exact, D=ExactMatrix.from_rows(d_rows)
+        n=n, m=m, k=k, C=c_exact, D=ExactMatrix.from_nonzeros(k, mn, sol.nonzeros())
     )
     try:
         verify_certificate(s, cert)

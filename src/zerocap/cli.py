@@ -66,7 +66,6 @@ from .classical import (
     FittingMatrix,
     bounds_report,
     orthogonal_rank_verify,
-    unit_diagonal_form,
     verify_fitting,
 )
 from .exactlinalg import ExactMatrix, parse_scalar
@@ -419,8 +418,6 @@ def _cmd_transform_cohom(args: argparse.Namespace, cfg: CliConfig) -> int:
 
 def _cmd_transform_lift(args: argparse.Namespace, cfg: CliConfig) -> int:
     fm = FittingMatrix.from_json_dict(_load_json(args.fitting))
-    if args.normalize:
-        fm = unit_diagonal_form(fm)
     out = lift_graph_certificate(fm)
     _write_json(args.output, out.to_json_dict())
     print(_summarize_cert(out, args.output))
@@ -593,8 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = tsub.add_parser("lift", parents=[common])
     p.add_argument("fitting", help="fitting-matrix JSON (graph inline)")
-    p.add_argument("--normalize", action="store_true",
-                   help="rescale to unit diagonal first")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(handler=_cmd_transform_lift)
 

@@ -1,11 +1,12 @@
 """Exact linear algebra over the Gaussian rationals Q(i).
 
 Everything that certifies a bound in this package runs through this module:
-matrices that store only their nonzero entries; rank, exact linear solves
-and rank factorization, which share one fraction-free Gauss-Jordan kernel
-over the Gaussian integers Z[i]; and a positive semidefiniteness test by
-recursive Schur complements.  Scalars are pairs of ``fractions.Fraction``
-so there is no precision cap and no rounding, ever.
+matrices that store only their nonzero entries; rank, exact linear solves,
+rank factorization and the canonical basis of a span of matrices, which
+share one fraction-free Gauss-Jordan kernel on sparse rows over the
+Gaussian integers Z[i]; and a positive semidefiniteness test by recursive
+Schur complements.  Scalars are pairs of ``fractions.Fraction`` so there
+is no precision cap and no rounding, ever.
 
 Floating point enters the package only in heuristic searches and the SDP
 solver; results coming from there are always re-checked here before being
@@ -498,7 +499,7 @@ class ExactMatrix:
 
     def rank(self) -> int:
         """Exact rank: the pivot count of the fraction-free elimination."""
-        pivots, _, _ = _fraction_free_rref(self, self.cols)
+        pivots, _, _ = _fraction_free_rref(_integer_rows(self), self.cols)
         return len(pivots)
 
     def solve(self, b: "ExactMatrix") -> Optional["ExactMatrix"]:
@@ -511,13 +512,17 @@ class ExactMatrix:
         if b.rows != self.rows:
             raise ValueError("rhs row count mismatch")
         m, w = self.cols, b.cols
-        pivots, rows, d = _fraction_free_rref(hstack([self, b]), m)
-        if any(v != (0, 0) for row in rows[len(pivots):] for v in row[m:]):
+        pivots, rows, d = _fraction_free_rref(_integer_rows(hstack([self, b])), m)
+        # a leftover row is zero in the columns of self: any entry is in b's
+        if any(rows[len(pivots):]):
             return None
-        x = [[ZERO] * w for _ in range(m)]
-        for row, c in zip(rows, pivots):
-            x[c] = [_divide(v, d) for v in row[m:]]
-        return ExactMatrix.from_rows(x)
+        x = {
+            c * w + j - m: _divide(v, d)
+            for row, c in zip(rows, pivots)
+            for j, v in row.items()
+            if j >= m
+        }
+        return ExactMatrix._of(m, w, x)
 
     def is_hermitian(self) -> bool:
         return self.rows == self.cols and self == self.conj_transpose()
@@ -596,38 +601,45 @@ def rank_factorization(a: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
     row echelon form, so every column of a is the p-combination prescribed
     by q.  A zero matrix factors through inner dimension 0 (p is rows x 0).
     """
-    n, m = a.rows, a.cols
-    pivots, rows, d = _fraction_free_rref(a, m)
-    p = a.submatrix(range(n), pivots)
-    if not pivots:
-        return p, ExactMatrix.zeros(0, m)
-    q = ExactMatrix.from_rows([[_divide(v, d) for v in row] for row in rows[: len(pivots)]])
-    return p, q
+    m = a.cols
+    pivots, rows, d = _fraction_free_rref(_integer_rows(a), m)
+    q = {
+        t * m + j: _divide(v, d)
+        for t, row in enumerate(rows[: len(pivots)])
+        for j, v in row.items()
+    }
+    return a.submatrix(range(a.rows), pivots), ExactMatrix._of(len(pivots), m, q)
 
 
 # -- fraction-free elimination over Z[i] -----------------------------
 #
-# Gaussian integers are (re, im) pairs of Python ints.
+# Gaussian integers are (re, im) pairs of Python ints.  Rows are sparse:
+# dicts {column: nonzero Gaussian integer}.
 
 GaussianInt = tuple[int, int]
+IntegerRow = dict[int, GaussianInt]
+SparseRow = dict[int, GaussianRational]
 
 
-def _integer_rows(a: ExactMatrix) -> list[list[GaussianInt]]:
-    """The rows of a, each scaled by the lcm of its denominators, in Z[i]."""
-    entries: list[list[tuple[int, GaussianRational]]] = [[] for _ in range(a.rows)]
-    for k, x in a.nonzeros().items():
+def _integer_row(row: SparseRow) -> IntegerRow:
+    """row scaled by the lcm of its denominators into Z[i], zeros dropped."""
+    row = {j: x for j, x in row.items() if not x.is_zero()}
+    scale = math.lcm(*(x.re.denominator for x in row.values()),
+                     *(x.im.denominator for x in row.values()))
+    return {
+        j: (x.re.numerator * (scale // x.re.denominator),
+            x.im.numerator * (scale // x.im.denominator))
+        for j, x in row.items()
+    }
+
+
+def _integer_rows(a: ExactMatrix) -> list[IntegerRow]:
+    """The rows of a, each scaled into Z[i] by _integer_row."""
+    rows: list[SparseRow] = [{} for _ in range(a.rows)]
+    for k, x in a._nz.items():
         i, j = divmod(k, a.cols)
-        entries[i].append((j, x))
-    out = []
-    for row in entries:
-        scale = math.lcm(*(x.re.denominator for _, x in row),
-                         *(x.im.denominator for _, x in row))
-        dense = [(0, 0)] * a.cols
-        for j, x in row:
-            dense[j] = (x.re.numerator * (scale // x.re.denominator),
-                        x.im.numerator * (scale // x.im.denominator))
-        out.append(dense)
-    return out
+        rows[i][j] = x
+    return [_integer_row(row) for row in rows]
 
 
 def _divide(x: GaussianInt, d: GaussianInt) -> GaussianRational:
@@ -640,64 +652,69 @@ def _divide(x: GaussianInt, d: GaussianInt) -> GaussianRational:
 
 
 def _fraction_free_rref(
-    a: ExactMatrix, ncols: int
-) -> tuple[list[int], list[list[GaussianInt]], GaussianInt]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) over Z[i].
+    rows: list[IntegerRow], ncols: int
+) -> tuple[list[int], list[IntegerRow], GaussianInt]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) on sparse Z[i] rows.
 
-    Each row is first scaled to Gaussian integers; row scaling changes
-    neither the row space nor the reduced row echelon form (RREF).  Pivots
-    are taken in the first ncols columns only, at the first nonzero entry
-    in column order.  For a pivot p every other row becomes
+    The one elimination kernel of the package: rank, solve and
+    rank_factorization run it on the rows of a matrix, and sparse_rref on
+    the row-major vectorizations of a span's generators.  Callers scale
+    each row to Gaussian integers first; row scaling changes neither the
+    row space nor the reduced row echelon form (RREF).  Pivots are taken
+    in columns below ncols only, at the first nonzero entry in column
+    order.  For a pivot p every other row becomes
     (p * row - f * pivot_row) / prev, with f its entry in the pivot column
-    and prev the previous pivot (1 at the start).  The division is exact
-    in Z[i], since every entry stays a minor of the scaled input.
+    and prev the previous pivot (1 at the start), over the union of the two
+    rows' columns; a row with f = 0 is only rescaled by p / prev, so it is
+    left alone when p == prev.  The division is exact in Z[i], since every
+    entry stays a minor of the scaled input.  The rows are updated in place.
 
-    Returns (pivots, rows, d): the pivot columns, the eliminated integer
-    rows with the pivot rows first in pivot order, and the last pivot d,
-    which every pivot row carries in its pivot column.  rows[t] / d is row
-    t of the RREF for t < len(pivots); the other rows vanish in the first
-    ncols columns.
+    Returns (pivots, rows, d): the pivot columns, the eliminated rows with
+    the pivot rows first in pivot order, and the last pivot d, which every
+    pivot row carries in its pivot column.  rows[t] / d is row t of the
+    RREF for t < len(pivots); the other rows have no entry below ncols.
     """
-    out = _integer_rows(a)
-    nrows = len(out)
-    width = len(out[0]) if out else 0
+    nrows = len(rows)
     pivots: list[int] = []
     dr, di = 1, 0
-    for c in range(ncols):
+    # a column no input row touches never gets an entry
+    for c in sorted({j for row in rows for j in row if j < ncols}):
         r = len(pivots)
         if r == nrows:
             break
-        found = next((i for i in range(r, nrows) if out[i][c] != (0, 0)), None)
+        found = next((i for i in range(r, nrows) if c in rows[i]), None)
         if found is None:
             continue
-        out[r], out[found] = out[found], out[r]
-        prow = out[r]
+        rows[r], rows[found] = rows[found], rows[r]
+        prow = rows[r]
         pr, pi = prow[c]
         # division by prev: multiply by conj(prev), then divide by |prev|^2
         norm = dr * dr + di * di
-        for i, row in enumerate(out):
+        for i, row in enumerate(rows):
             if i == r:
                 continue
-            fr, fi = row[c]
-            # rows below the pivot are zero left of column c
-            for j in range(c if i > r else 0, width):
-                xr, xi = row[j]
-                yr, yi = prow[j]
-                ar = pr * xr - pi * xi - fr * yr + fi * yi
-                ai = pr * xi + pi * xr - fr * yi - fi * yr
-                row[j] = ((ar * dr + ai * di) // norm, (ai * dr - ar * di) // norm)
+            fr, fi = row.get(c, (0, 0))
+            if not (fr or fi) and (pr, pi) == (dr, di):
+                continue
+            acc = {j: (pr * xr - pi * xi, pr * xi + pi * xr) for j, (xr, xi) in row.items()}
+            if fr or fi:
+                for j, (yr, yi) in prow.items():
+                    ar, ai = acc.get(j, (0, 0))
+                    acc[j] = (ar - fr * yr + fi * yi, ai - fr * yi - fi * yr)
+            rows[i] = {
+                j: ((ar * dr + ai * di) // norm, (ai * dr - ar * di) // norm)
+                for j, (ar, ai) in acc.items()
+                if ar or ai
+            }
         pivots.append(c)
         dr, di = pr, pi
-    return pivots, out, (dr, di)
+    return pivots, rows, (dr, di)
 
 
-# -- sparse row echelon over Q(i) ------------------------------------
+# -- span canonicalization -------------------------------------------
 #
-# Used for canonicalizing spans of matrices (rows are row-major
-# vectorizations).  Rows are dicts {coordinate: value}; elimination only
-# touches nonzero entries, which keeps matrix-unit-heavy spans cheap.
-
-SparseRow = dict[int, GaussianRational]
+# Spans of matrices are rows of their row-major vectorizations, as dicts
+# {coordinate: value}, so matrix-unit-heavy spans stay cheap.
 
 
 def sparse_rref(rows: Iterable[SparseRow]) -> list[SparseRow]:
@@ -707,28 +724,13 @@ def sparse_rref(rows: Iterable[SparseRow]) -> list[SparseRow]:
     above and below.  The result is a canonical basis of the row span:
     two spans are equal iff their sparse_rref lists are equal.
     """
-    echelon: list[tuple[int, SparseRow]] = []  # (pivot coord, row), sorted
-    for row in rows:
-        row = reduce_row(row, echelon)
-        if not row:
-            continue
-        piv = min(row)
-        inv = ONE / row[piv]
-        row = {c: v * inv for c, v in row.items()}
-        for k, (p, other) in enumerate(echelon):
-            if piv in other:
-                f = other[piv]
-                new = dict(other)
-                for c, v in row.items():
-                    w = new.get(c, ZERO) - f * v
-                    if w.is_zero():
-                        new.pop(c, None)
-                    else:
-                        new[c] = w
-                echelon[k] = (p, new)
-        echelon.append((piv, row))
-        echelon.sort(key=lambda t: t[0])
-    return [r for _, r in echelon]
+    scaled = [_integer_row(row) for row in rows]
+    width = 1 + max((j for row in scaled for j in row), default=-1)
+    pivots, out, d = _fraction_free_rref(scaled, width)
+    return [
+        {j: _divide(v, d) for j, v in sorted(row.items())}
+        for row in out[: len(pivots)]
+    ]
 
 
 def reduce_row(row: SparseRow, echelon: Sequence[tuple[int, SparseRow]]) -> SparseRow:

@@ -109,12 +109,6 @@ def _alpha_bruteforce(g: Graph) -> int:
     return best
 
 
-def _standard_column(n: int, i: int) -> ExactMatrix:
-    entries = [ZERO] * n
-    entries[i] = ONE
-    return ExactMatrix(n, 1, entries)
-
-
 # -- the ten checks ------------------------------------------------------
 
 
@@ -346,7 +340,7 @@ def check_compression_sandwich(seed: int = 0) -> CheckResult:
             )
         else:
             s = corner_family(Fraction(rng.randint(1, 9), 10))
-            cols = [_standard_column(3, 0), _standard_column(3, 1)]
+            cols = IndependentSystem.standard_basis(3, [0, 1]).vectors
             witness = IndependentSystem.from_columns(cols[: rng.randint(1, 2)])
         if not verify_independent(s, witness):
             problems.append(f"trial {trial}: witness is not independent")
@@ -409,9 +403,7 @@ def check_order_monotonicity(seed: int = 0) -> CheckResult:
         (
             "corner-1/2",
             corner_family(Fraction(1, 2)),
-            IndependentSystem.from_columns(
-                [_standard_column(3, 0), _standard_column(3, 1)]
-            ),
+            IndependentSystem.standard_basis(3, [0, 1]),
         ),
     ]
     for label, s, witness in cases:

@@ -253,10 +253,12 @@ def test_lift_identity_for_empty_graph():
     assert verify_certificate(diagonal_system(n), cert) == n
 
 
-def test_lift_requires_unit_diagonal():
+def test_lift_gives_both_variants_the_same_certificate():
     fm = gram_fitting_matrix(cycle_graph(5), pentagon_representation())
-    with pytest.raises(VerificationError, match="unit-diagonal"):
-        lift_graph_certificate(fm)
+    assert fm.variant == "nonzero-diagonal"
+    unit = unit_diagonal_form(fm)
+    assert unit.b != fm.b
+    assert lift_graph_certificate(fm) == lift_graph_certificate(unit)
 
 
 def test_lift_pentagon_gram():

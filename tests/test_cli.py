@@ -412,15 +412,27 @@ def test_transform_lift_project_round_trip(c5_file, tmp_path, capsys):
     span_path = tmp_path / "sc5.json"
     assert main(["nc", "build", "--from-graph", c5_file, "-o", str(span_path)]) == 0
     lifted = tmp_path / "lifted.json"
-    code = main(["nc", "transform", "lift", str(fitting), "--normalize",
-                 "-o", str(lifted)])
-    assert code == 0
+    assert main(["nc", "transform", "lift", str(fitting), "-o", str(lifted)]) == 0
     assert main(["nc", "verify-cert", str(span_path), str(lifted)]) == 0
     back = tmp_path / "back.json"
     assert main(["nc", "transform", "project", str(span_path), str(lifted),
                  "-o", str(back)]) == 0
     fm = FittingMatrix.from_json_dict(json.loads(back.read_text()))
     assert verify_fitting(fm) == 3
+
+
+def test_transform_lift_takes_the_fitting_file_of_graph_report(c5_file, tmp_path, capsys):
+    cert_dir = tmp_path / "certs"
+    assert main(["graph", "report", c5_file, "--cert-dir", str(cert_dir)]) == 0
+    fitting = cert_dir / "c5-fitting.json"
+    assert json.loads(fitting.read_text())["variant"] == "nonzero-diagonal"
+    span_path = tmp_path / "sc5.json"
+    assert main(["nc", "build", "--from-graph", c5_file, "-o", str(span_path)]) == 0
+    lifted = tmp_path / "lifted.json"
+    capsys.readouterr()
+    assert main(["nc", "transform", "lift", str(fitting), "-o", str(lifted)]) == 0
+    assert main(["nc", "verify-cert", str(span_path), str(lifted)]) == 0
+    assert "rank 3, OK" in capsys.readouterr().out
 
 
 def test_transform_project_rejects_a_span_that_is_not_a_graph_span(tmp_path, capsys):

@@ -2,8 +2,9 @@
 
 Oracles used here are independent of the implementation under test:
 rank is cross-checked against a minor-based oracle (largest r with a
-nonzero r x r subdeterminant, determinants by Laplace expansion), and
-is_psd against the all-principal-minors criterion.
+nonzero r x r subdeterminant, determinants by Laplace expansion),
+is_psd against the all-principal-minors criterion, and sparse_rref
+against a Gauss-Jordan loop over Q(i) (sparse_rref_reference).
 """
 
 import random
@@ -323,6 +324,16 @@ def test_solve_underdetermined_particular_solution():
     assert x is not None and a @ x == b
 
 
+def test_solve_leftover_row_with_only_rhs_entries():
+    # after elimination the third row is zero in the columns of a and keeps
+    # b[2] - b[0] - b[1] on the right: consistent only when that is zero
+    a = ExactMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
+    assert a.solve(ExactMatrix.column([1, i_, 1])) is None
+    assert a.solve(ExactMatrix.from_rows([[1, 0], [i_, 0], [1 + i_, 1]])) is None
+    x = a.solve(ExactMatrix.column([1, i_, 1 + i_]))
+    assert x == ExactMatrix.column([1, i_])
+
+
 def test_solve_sets_free_variables_to_zero():
     rng = random.Random(37)
     for a in elimination_matrices(37):
@@ -444,6 +455,70 @@ def test_sparse_rref_reduce_membership():
     outside = {0: ONE}
     assert reduce_row(inside, ech) == {}
     assert reduce_row(outside, ech) != {}
+
+
+def sparse_rref_reference(rows):
+    """The Gauss-Jordan loop over Q(i) that sparse_rref used to run itself."""
+    echelon = []  # (pivot coord, row), sorted
+    for row in rows:
+        row = reduce_row(row, echelon)
+        if not row:
+            continue
+        piv = min(row)
+        inv = ONE / row[piv]
+        row = {c: v * inv for c, v in row.items()}
+        for k, (p, other) in enumerate(echelon):
+            if piv in other:
+                f = other[piv]
+                new = dict(other)
+                for c, v in row.items():
+                    w = new.get(c, ZERO) - f * v
+                    if w.is_zero():
+                        new.pop(c, None)
+                    else:
+                        new[c] = w
+                echelon[k] = (p, new)
+        echelon.append((piv, row))
+        echelon.sort(key=lambda t: t[0])
+    return [r for _, r in echelon]
+
+
+def random_span_rows(rng):
+    """Generators of a random span: zero-heavy or dense, complex-rational,
+    with dependent, repeated and all-zero generators mixed in."""
+    width = rng.randint(1, 12)
+    density = rng.choice([0.1, 0.3, 1.0])
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        row = {}
+        for c in range(width):
+            if rng.random() < density:
+                row[c] = rand_scalar(rng, real=rng.random() < 0.3)
+        rows.append(row)
+    for _ in range(rng.randint(0, 3)):  # combinations of earlier rows
+        combo = {}
+        for row in rng.sample(rows, rng.randint(1, len(rows))):
+            f = rand_scalar(rng)
+            for c, v in row.items():
+                combo[c] = combo.get(c, ZERO) + f * v
+        rows.append(combo)  # may hold explicit zeros where terms cancel
+    rows += [dict(rng.choice(rows)) for _ in range(rng.randint(0, 2))]
+    rows += [{}, {rng.randrange(width): ZERO}][: rng.randint(0, 2)]
+    rng.shuffle(rows)
+    return rows
+
+
+def test_sparse_rref_matches_the_q_i_reference():
+    rng = random.Random(1011)
+    seen_ranks = set()
+    for _ in range(120):
+        rows = random_span_rows(rng)
+        before = [dict(row) for row in rows]
+        got = sparse_rref(rows)
+        assert got == sparse_rref_reference(rows)
+        assert rows == before  # the generators are not modified
+        seen_ranks.add(len(got))
+    assert seen_ranks >= set(range(7))
 
 
 # --- sparse storage against a dense reference -------------------------

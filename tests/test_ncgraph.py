@@ -1,5 +1,7 @@
 """Spans of matrices: canonical form, channels, products, catalog systems."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -271,3 +273,37 @@ def test_json_roundtrips():
     half = Fraction(1, 2)
     cc = ClassicalChannel.from_rows([[half, half], [half, half]])
     assert ClassicalChannel.from_json_dict(cc.to_json_dict()) == cc
+
+
+def test_canonical_span_bytes_are_pinned():
+    c5 = NcGraph.from_graph(cycle_graph(5))
+    # rc5: the pentagon span rotated by [[3/5, 4/5], [-4/5, 3/5]] on the
+    # coordinate pairs (0, 1) and (2, 4)
+    rotation = ExactMatrix.from_strings([
+        ["3/5", "4/5", "0", "0", "0"],
+        ["-4/5", "3/5", "0", "0", "0"],
+        ["0", "0", "3/5", "0", "4/5"],
+        ["0", "0", "0", "1", "0"],
+        ["0", "0", "-4/5", "0", "3/5"],
+    ])
+    # a dense rational channel: Kraus operators (3/5) U and (4/5) U P with U
+    # a rational orthogonal matrix and P a diagonal of Gaussian-rational phases
+    u = ExactMatrix.from_strings(
+        [["1/3", "2/3", "2/3"], ["2/3", "1/3", "-2/3"], ["2/3", "-2/3", "1/3"]]
+    )
+    phases = ExactMatrix.from_strings([["3/5+4/5*i", "0", "0"], ["0", "i", "0"], ["0", "0", "1"]])
+    channel = QuantumChannel(
+        3, 3, (u.scale(Fraction(3, 5)), (u @ phases).scale(Fraction(4, 5)))
+    )
+    spans = [
+        c5,
+        tensor(c5, c5),
+        corner_family(Fraction(1, 2)),
+        conjugate_by_unitary(c5, rotation),
+        from_kraus(channel),
+    ]
+    assert [s.dim for s in spans] == [15, 225, 4, 15, 3]
+    text = json.dumps([s.to_json_dict() for s in spans], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5624f1f8fb832f1cbcef42db06d63f00648e33d1ae8c9e6164e67b5ffd5e5076"
+    )
