@@ -944,16 +944,13 @@ def _axis_witness(s: NcGraph) -> Optional[IndependentSystem]:
     e_i and e_j are independent in S exactly when every basis element
     of the span vanishes at (i, j) and (j, i), so the best axis-aligned
     witness is a maximum independent set of the pairwise conflict graph
-    — exact and cheap at these sizes.  Returns None when no pair of
-    axes is independent.
+    — exact and cheap at these sizes.  The conflicts are the off-diagonal
+    positions in the union of the basis supports.  Returns None when no
+    pair of axes is independent.
     """
     n = s.n
-    conflicts = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if any(a[i, j] != ZERO or a[j, i] != ZERO for a in s.basis)
-    ]
+    support = set().union(*(a.nonzeros() for a in s.basis))
+    conflicts = [divmod(idx, n) for idx in support if idx // n != idx % n]
     size, vertices = independence_number(Graph.from_edges(n, conflicts))
     if size < 2:
         return None

@@ -4,14 +4,19 @@ The central object is a fitting matrix for a graph G: an n x n matrix that
 vanishes on non-edges and has unit (or merely nonzero) diagonal.  The
 minimum rank over such matrices upper-bounds the Shannon capacity, and any
 single verified fitting matrix is a standalone upper-bound certificate.
-This module verifies such certificates exactly, produces them from a small
-construction library, and assembles the classical bounds sandwich
+This module verifies such certificates exactly, constructs one for every
+graph from a greedy clique cover, and assembles the classical bounds
+sandwich
 
     independence number <= capacity <= min-rank fitting matrix,
 
 together with the orthogonal-rank variant where the fitting matrix is
 required positive semidefinite (realized by a Gram matrix of vectors
-assigned to vertices, orthogonal across non-edges).
+assigned to vertices, orthogonal across non-edges).  Mapping each vertex to
+the standard basis vector of its clique in a clique cover is such a
+representation, so both upper bounds are at most the clique cover number
+(Haemers 1979); the pentagon keeps its own three-dimensional
+representation, which the greedy cover ties.
 
 The two diagonal conventions decide the same minimum: dividing each row of
 a nonzero-diagonal fitting matrix by its diagonal entry produces a
@@ -23,22 +28,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .exactlinalg import ExactMatrix, GaussianRational, ONE, ZERO
-from .graphs import Graph, cycle_graph, independence_number, strong_product
+from .exactlinalg import ExactMatrix, GaussianRational, ONE, ZERO, hstack
+from .graphs import (
+    Graph,
+    _greedy_clique_cover,
+    cycle_graph,
+    independence_number,
+    strong_product,
+)
 from .theta import lovasz_theta
 
 VARIANTS = ("unit-diagonal", "nonzero-diagonal")
-
-#: Off-diagonal values x swept by circulant_fitting_search: p/q in lowest
-#: terms with 0 < |p| <= 8 and q <= 4.
-CIRCULANT_SWEEP = tuple(
-    Fraction(p, q)
-    for q in (1, 2, 3, 4)
-    for p in range(-8, 9)
-    if p != 0 and math.gcd(abs(p), q) == 1
-)
 
 
 @dataclass(frozen=True)
@@ -96,12 +98,13 @@ def verify_fitting(fm: FittingMatrix) -> int:
     return b.rank()
 
 
-def orthogonal_rank_verify(g: Graph, vectors: Sequence[ExactMatrix]) -> int:
-    """Verify a vector-per-vertex orthogonal representation; return its dimension.
+def _gram_fitting(g: Graph, vectors: Sequence[ExactMatrix]) -> tuple[int, FittingMatrix]:
+    """Verify an orthogonal representation; return its Gram rank and fitting matrix.
 
-    Vectors at non-adjacent vertices must be exactly orthogonal.  As a
-    cross-check the Gram matrix is confirmed positive semidefinite with
-    rank at most the common dimension, which is what makes the dimension an
+    Vectors at non-adjacent vertices must be exactly orthogonal.  Norms
+    are nonzero, so the Gram matrix is a nonzero-diagonal fitting matrix.
+    As a cross-check it is confirmed positive semidefinite with rank at
+    most the common dimension, which is what makes the dimension an
     upper-bound certificate for the positive-semidefinite variant of the
     fitting-matrix program.
     """
@@ -111,13 +114,10 @@ def orthogonal_rank_verify(g: Graph, vectors: Sequence[ExactMatrix]) -> int:
     for idx, v in enumerate(vectors):
         if v.shape != (k, 1):
             raise ValueError(f"vector {idx} has shape {v.shape}, expected ({k}, 1)")
-        if all(v[t, 0].is_zero() for t in range(k)):
+        if v.is_zero():
             raise ValueError(f"vector {idx} is zero")
-    gram_entries = []
-    for i in range(g.n):
-        for j in range(g.n):
-            gram_entries.append((vectors[i].H @ vectors[j])[0, 0])
-    gram = ExactMatrix(g.n, g.n, gram_entries)
+    columns = hstack(vectors)
+    gram = columns.H @ columns
     for i in range(g.n):
         for j in range(i + 1, g.n):
             if not g.has_edge(i, j) and not gram[i, j].is_zero():
@@ -126,26 +126,30 @@ def orthogonal_rank_verify(g: Graph, vectors: Sequence[ExactMatrix]) -> int:
                 )
     if not gram.is_psd():
         raise ValueError("Gram matrix is not positive semidefinite")
-    if gram.rank() > k:
+    rank = gram.rank()
+    if rank > k:
         raise ValueError("Gram rank exceeds the ambient dimension")
-    return k
+    return rank, FittingMatrix(g, "nonzero-diagonal", gram)
+
+
+def orthogonal_rank_verify(g: Graph, vectors: Sequence[ExactMatrix]) -> int:
+    """Verify a vector-per-vertex orthogonal representation; return its dimension.
+
+    Vectors at non-adjacent vertices must be exactly orthogonal, and the
+    Gram matrix must be positive semidefinite of rank at most the common
+    dimension (the checks of _gram_fitting).
+    """
+    _gram_fitting(g, vectors)
+    return vectors[0].rows
 
 
 def gram_fitting_matrix(g: Graph, vectors: Sequence[ExactMatrix]) -> FittingMatrix:
-    """The Gram matrix of an orthogonal representation, as a fitting matrix.
+    """The Gram matrix of a verified orthogonal representation, as a fitting matrix.
 
-    Norms are nonzero and non-edges produce exact zeros, so the result is a
-    nonzero-diagonal fitting matrix of rank at most the representation
-    dimension.
+    Non-edges produce exact zeros, so the result is a nonzero-diagonal
+    fitting matrix of rank at most the representation dimension.
     """
-    k = orthogonal_rank_verify(g, vectors)
-    entries = []
-    for i in range(g.n):
-        for j in range(g.n):
-            entries.append((vectors[i].H @ vectors[j])[0, 0])
-    fm = FittingMatrix(g, "nonzero-diagonal", ExactMatrix(g.n, g.n, entries))
-    assert verify_fitting(fm) <= k
-    return fm
+    return _gram_fitting(g, vectors)[1]
 
 
 def unit_diagonal_form(fm: FittingMatrix) -> FittingMatrix:
@@ -168,59 +172,15 @@ def pentagon_representation() -> list[ExactMatrix]:
     """An exact three-dimensional orthogonal representation of the 5-cycle.
 
     Adjacent vertices may share a vector; all non-adjacent pairs are
-    orthogonal.  No rational circulant achieves dimension 3 (see the
-    circulant search), but this asymmetric assignment does.
+    orthogonal: vertices 3 and 4 share e3, and vertex 1, adjacent to 0
+    and 2, gets e1 + e2.  Three is also the size of the pentagon's
+    smallest clique cover.
     """
     e1 = ExactMatrix.from_strings([["1"], ["0"], ["0"]])
     e12 = ExactMatrix.from_strings([["1"], ["1"], ["0"]])
     e2 = ExactMatrix.from_strings([["0"], ["1"], ["0"]])
     e3 = ExactMatrix.from_strings([["0"], ["0"], ["1"]])
     return [e1, e12, e2, e3, e3]
-
-
-# -- circulant constructions ---------------------------------------------
-
-
-def circulant_difference_set(g: Graph) -> Optional[frozenset[int]]:
-    """The difference set S with i ~ j iff (i - j) mod n in S, if one exists."""
-    n = g.n
-    diffs = {d for d in range(1, n) if g.has_edge(0, d % n)} if n > 1 else set()
-    diffs |= {n - d for d in diffs}
-    expected = {
-        (i, (i + d) % n) for i in range(n) for d in diffs
-    }
-    expected = {(min(i, j), max(i, j)) for i, j in expected if i != j}
-    return frozenset(diffs) if expected == set(g.edges) else None
-
-
-def circulant_fitting_search(g: Graph) -> Optional[FittingMatrix]:
-    """Sweep circulant matrices with first row 1 at 0 and x on the difference set.
-
-    Returns the minimum-rank verified circulant fitting matrix over the
-    sweep, or None when the graph is not circulant or no sweep point beats
-    rank n.  For the 5-cycle this search provably cannot reach rank 3: a
-    circulant with Gaussian-rational entries and the pentagon's zero
-    pattern has no vanishing eigenvalue except possibly at the all-ones
-    vector, so the sweep bottoms out at rank 4.
-    """
-    diffs = circulant_difference_set(g)
-    if diffs is None or not diffs:
-        return None
-    n = g.n
-    best: Optional[FittingMatrix] = None
-    best_rank = n
-    for x in CIRCULANT_SWEEP:
-        first = [ZERO] * n
-        first[0] = ONE
-        xg = GaussianRational(Fraction(x))
-        for d in diffs:
-            first[d] = xg
-        entries = [first[(j - i) % n] for i in range(n) for j in range(n)]
-        fm = FittingMatrix(g, "unit-diagonal", ExactMatrix(n, n, entries))
-        rank = verify_fitting(fm)
-        if rank < best_rank:
-            best, best_rank = fm, rank
-    return best
 
 
 # -- bounds sandwich -------------------------------------------------------
@@ -290,37 +250,34 @@ class ClassicalBounds:
         }
 
 
-def _representation_library(g: Graph) -> list[ExactMatrix]:
-    n = g.n
-    if len(g.edges) == n * (n - 1) // 2:
-        one = ExactMatrix.from_strings([["1"]])
-        return [one] * n
-    if n == 5 and g == cycle_graph(5):
+def _representation(g: Graph) -> list[ExactMatrix]:
+    """The orthogonal representation this module constructs for g.
+
+    The 5-cycle gets pentagon_representation().  Every other graph maps
+    vertex v to e_c, where c is v's clique in the greedy clique cover of
+    graphs._greedy_clique_cover, numbered in order of discovery; vectors
+    in different cliques are orthogonal, so the dimension is the number of
+    cliques.  A complete graph gets one clique and the vector [1]; a graph
+    without edges gets e_v at vertex v.
+    """
+    if g == cycle_graph(5):
         return pentagon_representation()
-    cols = []
-    for i in range(n):
-        e = [ZERO] * n
-        e[i] = ONE
-        cols.append(ExactMatrix(n, 1, e))
-    return cols
+    cliques = _greedy_clique_cover((1 << g.n) - 1, g.adjacency_masks())
+    return [
+        ExactMatrix.from_nonzeros(len(cliques), 1, {c: ONE})
+        for v in range(g.n)
+        for c, mask in enumerate(cliques)
+        if mask >> v & 1
+    ]
 
 
 def best_fitting_matrix(g: Graph) -> tuple[int, FittingMatrix]:
-    """The lowest-rank fitting matrix of the construction library, with its rank.
+    """The Gram fitting matrix of _representation(g), with its verified rank.
 
-    Candidates, in order: the Gram matrix of the library's orthogonal
-    representation (nonzero diagonal), then the circulant sweep when the
-    graph is circulant.  The lowest verified rank wins and the first
-    candidate wins a tie.  Row-scale with unit_diagonal_form before
-    lifting the winner to a span certificate.
+    The matrix has nonzero diagonal; row-scale it with unit_diagonal_form
+    before lifting it to a span certificate.
     """
-    candidates = [gram_fitting_matrix(g, _representation_library(g))]
-    circulant = circulant_fitting_search(g)
-    if circulant is not None:
-        candidates.append(circulant)
-    ranked = sorted((verify_fitting(fm), i) for i, fm in enumerate(candidates))
-    rank, best_idx = ranked[0]
-    return rank, candidates[best_idx]
+    return _gram_fitting(g, _representation(g))
 
 
 def bounds_report(g: Graph, *, theta_tol: float = 1e-7, power_cap: int = 64) -> ClassicalBounds:
@@ -328,11 +285,10 @@ def bounds_report(g: Graph, *, theta_tol: float = 1e-7, power_cap: int = 64) -> 
 
     The 𝓗 lower bound is max(α, ⌈√α(G⊠G)⌉) — the strong-product root is a
     capacity lower bound and 𝓗 dominates the capacity — computed only when
-    the squared graph fits under the branch-and-bound vertex cap.  Upper
-    bounds come from the construction library (best_fitting_matrix): the
-    Gram matrix of the best known orthogonal representation (which
-    specializes to the all-ones matrix on cliques and the identity on empty
-    graphs) and a circulant sweep when the graph is circulant.
+    the squared graph fits under the branch-and-bound vertex cap.  Both
+    upper bounds come from one verified orthogonal representation
+    (_representation: a greedy clique cover, or the pentagon's): ξ̄ is its
+    dimension and 𝓗 the rank of its Gram fitting matrix (best_fitting_matrix).
     """
     alpha, _ = independence_number(g)
     theta = lovasz_theta(g, tol=theta_tol).value
@@ -344,9 +300,9 @@ def bounds_report(g: Graph, *, theta_tol: float = 1e-7, power_cap: int = 64) -> 
         if root > lower:
             lower, reason = root, "square root of the strong-square independence number"
 
-    representation = _representation_library(g)
-    xi_upper = orthogonal_rank_verify(g, representation)
-    upper, fitting = best_fitting_matrix(g)
+    representation = _representation(g)
+    upper, fitting = _gram_fitting(g, representation)
+    xi_upper = representation[0].rows
 
     consistent = alpha <= lower <= upper <= xi_upper and alpha <= theta + 1e-4
     return ClassicalBounds(

@@ -3,7 +3,9 @@
 Vertices are 0-based integers internally; the text file format is 1-based.
 The independence number is computed exactly by branch and bound with a
 greedy clique cover bound, which is comfortably fast for the strong-product
-powers this package works with (n up to a few dozen).
+powers this package works with (n up to a few dozen).  The same greedy
+cover, taken over the whole graph, is the construction that
+classical.bounds_report turns into its upper-bound certificates.
 """
 
 from __future__ import annotations
@@ -174,15 +176,20 @@ def strong_power(g: Graph, k: int) -> Graph:
     return out
 
 
-def _greedy_clique_cover(candidates: int, adj: list[int]) -> int:
-    """Size of a greedy clique cover of the induced subgraph on the mask.
+def _greedy_clique_cover(candidates: int, adj: list[int]) -> list[int]:
+    """A greedy clique cover of the induced subgraph on the mask.
 
-    Any clique cover is at least as large as the independence number of
-    the induced subgraph, so the count is a valid pruning bound.
+    Returns the cliques as vertex masks in order of discovery: each one
+    starts at the lowest remaining vertex and adds the lowest remaining
+    vertex adjacent to all its members until none is left.  The masks
+    partition the candidates.  Any clique cover is at least as large as
+    the independence number of the induced subgraph, so its length is a
+    valid pruning bound.
     """
     remaining = candidates
-    count = 0
+    cliques = []
     while remaining:
+        before = remaining
         v = (remaining & -remaining).bit_length() - 1
         clique_adj = adj[v] & remaining
         remaining &= ~(1 << v)
@@ -190,8 +197,8 @@ def _greedy_clique_cover(candidates: int, adj: list[int]) -> int:
             w = (clique_adj & -clique_adj).bit_length() - 1
             remaining &= ~(1 << w)
             clique_adj &= adj[w] & ~(1 << w)
-        count += 1
-    return count
+        cliques.append(before & ~remaining)
+    return cliques
 
 
 def independence_number(
@@ -225,7 +232,7 @@ def independence_number(
             return
         if size + bin(candidates).count("1") <= best_size:
             return
-        if size + _greedy_clique_cover(candidates, adj) <= best_size:
+        if size + len(_greedy_clique_cover(candidates, adj)) <= best_size:
             return
         v = (candidates & -candidates).bit_length() - 1
         bit = 1 << v

@@ -654,6 +654,9 @@ def test_constructed_certificate_picks_the_lowest_rank():
     c5 = NcGraph.from_graph(cycle_graph(5))
     cases = [
         (c5, "fitting-lift", 3, 5),
+        # as_graph() sees S_C5 + S_C5 and S_C5 x S_C5; greedy clique covers of 6 and 9
+        (direct_sum_nc(c5, c5), "fitting-lift", 6, 10),
+        (tensor(c5, c5), "fitting-lift", 9, 25),
         (corner_family(Fraction(1, 2)), "identity", 3, 1),
         (full_matrix_system(2), "full-algebra", 1, 2),
         (NcGraph.from_graph(complete_graph(3)), "full-algebra", 1, 3),
@@ -665,6 +668,15 @@ def test_constructed_certificate_picks_the_lowest_rank():
         assert how == method
         assert (cert.k, cert.m) == (rank, m)
         assert verify_certificate(s, cert) == rank
+
+
+def test_constructed_certificate_of_the_pentagon_span_is_pinned():
+    cert, how = constructed_certificate(NcGraph.from_graph(cycle_graph(5)))
+    text = json.dumps(cert.to_json_dict(), sort_keys=True)
+    assert how == "fitting-lift"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8db4748e2b7a5a891b05fd10a8628fc554c0f866cc383521ce8e353ce90fb641"
+    )
 
 
 def test_search_validates_inputs():

@@ -1,15 +1,14 @@
 """Fitting matrices, orthogonal rank, bounds sandwich."""
 
+import hashlib
+import json
 import random
 
-import numpy as np
 import pytest
 
 from zerocap.classical import (
     FittingMatrix,
     bounds_report,
-    circulant_difference_set,
-    circulant_fitting_search,
     gram_fitting_matrix,
     orthogonal_rank_verify,
     pentagon_representation,
@@ -19,6 +18,7 @@ from zerocap.classical import (
 )
 from zerocap.exactlinalg import ExactMatrix
 from zerocap.graphs import (
+    _greedy_clique_cover,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -145,42 +145,6 @@ def test_unit_diagonal_form_preserves_rank():
         assert verify_fitting(unit) == verify_fitting(fm)
 
 
-# -- circulant sweep -----------------------------------------------------
-
-
-def test_circulant_detection():
-    assert circulant_difference_set(cycle_graph(5)) == frozenset({1, 4})
-    assert circulant_difference_set(cycle_graph(6)) == frozenset({1, 5})
-    assert circulant_difference_set(complete_graph(4)) == frozenset({1, 2, 3})
-    assert circulant_difference_set(path_graph(3)) is None
-
-
-def test_circulant_sweep_pentagon_bottoms_out_at_four():
-    # independent float oracle: every rational-x circulant with the
-    # pentagon pattern keeps at least four nonzero singular values, since
-    # only the all-ones eigenvector can be killed at rational x
-    for p in range(-12, 13):
-        for q in (1, 2, 3, 4, 5):
-            x = p / q
-            first = np.array([1.0, x, 0.0, 0.0, x])
-            c = np.stack([np.roll(first, i) for i in range(5)])
-            s = np.linalg.svd(c, compute_uv=False)
-            assert np.sum(s > 1e-9) >= 4
-    fm = circulant_fitting_search(cycle_graph(5))
-    assert fm is not None
-    assert verify_fitting(fm) == 4
-
-
-def test_circulant_sweep_clique_finds_rank_one():
-    fm = circulant_fitting_search(complete_graph(3))
-    assert fm is not None
-    assert verify_fitting(fm) == 1
-
-
-def test_circulant_sweep_skips_non_circulant():
-    assert circulant_fitting_search(path_graph(3)) is None
-
-
 # -- bounds sandwich -----------------------------------------------------
 
 
@@ -222,3 +186,57 @@ def test_bounds_report_json():
     d = bounds_report(cycle_graph(5)).to_json_dict()
     assert d["alpha"] == 2 and d["haemers_upper"] == 3
     assert FittingMatrix.from_json_dict(d["fitting"])
+
+
+def _digest(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "g, fitting, representation",
+    [
+        pytest.param(
+            cycle_graph(5),
+            "58199a496b08bc55b650958419408918d2f3f61a57c508664dca038d5bb1ab2c",
+            "934cfcf328abfe125fcb7955fa3d436f0cee54f4111c5ebb56b86383ddd6f179",
+            id="c5",
+        ),
+        pytest.param(
+            complete_graph(4),
+            "9ece92180a3649ac7536959143eb2adf70f7ed7aa9f00622c90e0cd79302a3c0",
+            "4d02f6f03cda58455b2e0c35697cec1d90ac300aee1bc91679bc398b84d8126a",
+            id="k4",
+        ),
+        pytest.param(
+            empty_graph(3),
+            "dbfeeb94fd3570aadf363177b410cd43569364354a3e8f91a518a90fbcb1dbcd",
+            "c24ecf7d64263f883c5052ed2a56466190eee43399095d818cd0f63eeca7d972",
+            id="empty3",
+        ),
+    ],
+)
+def test_bounds_report_witnesses_are_pinned(g, fitting, representation):
+    d = bounds_report(g).to_json_dict()
+    assert _digest(d["fitting"]) == fitting
+    assert _digest(d["representation"]) == representation
+
+
+# -- clique-cover construction --------------------------------------------
+
+
+def test_bounds_report_odd_cycles_reach_the_clique_cover():
+    for n, cover in ((7, 4), (9, 5), (11, 6)):
+        rep = bounds_report(cycle_graph(n))
+        assert (rep.haemers_upper, rep.xi_upper) == (cover, cover)
+        assert verify_fitting(rep.fitting) == cover
+        assert rep.consistent
+
+
+def test_bounds_report_upper_bounds_are_the_greedy_clique_cover():
+    rng = random.Random(12)
+    for _ in range(60):
+        g = random_graph(rng.randint(5, 12), rng.choice((0.3, 0.5, 0.7)), rng)
+        cliques = _greedy_clique_cover((1 << g.n) - 1, g.adjacency_masks())
+        rep = bounds_report(g)
+        assert rep.haemers_upper == rep.xi_upper == len(cliques)
+        assert rep.consistent

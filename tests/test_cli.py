@@ -23,6 +23,7 @@ from zerocap.ncgraph import (
     QuantumChannel,
     corner_family,
     diagonal_system,
+    direct_sum_nc,
     full_matrix_system,
     scalar_identity_system,
 )
@@ -97,6 +98,17 @@ def test_graph_report_re_verifies_from_disk(c5_file, tmp_path, capsys):
     assert verify_fitting(fm) == 3
 
 
+def test_graph_report_c7_closes_at_the_clique_cover(tmp_path, capsys):
+    path = tmp_path / "c7.dimacs"
+    path.write_text(cycle_graph(7).to_text())
+    assert main(["graph", "report", str(path), "--cert-dir", str(tmp_path / "certs")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines if "upper" in line] == [
+        ["haemers-upper", "4"],
+        ["xi-upper", "4"],
+    ]
+
+
 def test_nc_build_from_graph(c5_file, tmp_path, capsys):
     out = tmp_path / "span.json"
     assert main(["nc", "build", "--from-graph", c5_file, "-o", str(out)]) == 0
@@ -167,6 +179,26 @@ def test_nc_haemers_pentagon_lifts_the_fitting_matrix(c5_file, tmp_path, capsys)
     assert main(["nc", "haemers", str(span), "--m-schedule", "1,2",
                  "--cert-out", str(cert_out)]) == 0
     assert "H <= 3 (fitting-lift, certificate rank 3, m=5)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "span, rank",
+    [
+        pytest.param(NcGraph.from_graph(cycle_graph(7)), 4, id="c7"),
+        pytest.param(
+            direct_sum_nc(NcGraph.from_graph(cycle_graph(5)), NcGraph.from_graph(cycle_graph(5))),
+            6,
+            id="c5+c5",
+        ),
+    ],
+)
+def test_nc_haemers_lifts_the_clique_cover(span, rank, tmp_path, capsys):
+    path = _write_span(tmp_path, "span.json", span)
+    # --k-max 1 leaves no rank to search below the constructed one
+    _, upper, cert_out = _nc_haemers_json(path, tmp_path, capsys, "--k-max", "1")
+    assert (upper["method"], upper["rank"]) == ("fitting-lift", rank)
+    assert main(["nc", "verify-cert", path, str(cert_out)]) == 0
+    assert f"rank {rank}, OK" in capsys.readouterr().out
 
 
 def test_nc_haemers_searches_only_below_the_constructed_rank(

@@ -5,7 +5,9 @@ touching only independent subsets, so it stays fast even on the 25-vertex
 pentagon square while remaining implementation-independent.
 """
 
+import hashlib
 import itertools
+import json
 import random
 import time
 
@@ -13,6 +15,7 @@ import pytest
 
 from zerocap.graphs import (
     Graph,
+    _greedy_clique_cover,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -150,6 +153,32 @@ def test_alpha_random_graphs_up_to_12():
         assert size == alpha_bruteforce(g)
         for a, b in itertools.combinations(witness, 2):
             assert not g.has_edge(a, b)
+
+
+def test_alpha_results_are_pinned():
+    # size and witness on 100 seeded graphs: the pruning bound must not move them
+    rng = random.Random(5)
+    out = []
+    for _ in range(100):
+        g = random_graph(rng.randint(1, 16), rng.random(), rng)
+        out.append(list(independence_number(g)))
+    assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == (
+        "b89ee80bad924121ef4298d1dd4e13b6e707856e983f15c31b4b40621e9ba7d4"
+    )
+
+
+def test_greedy_clique_cover_partitions_the_candidates_into_cliques():
+    rng = random.Random(17)
+    for _ in range(200):
+        g = random_graph(rng.randint(1, 14), rng.random(), rng)
+        candidates = rng.getrandbits(g.n)
+        covered = 0
+        for mask in _greedy_clique_cover(candidates, g.adjacency_masks()):
+            assert mask and not mask & covered
+            covered |= mask
+            members = [v for v in range(g.n) if mask >> v & 1]
+            assert all(g.has_edge(a, b) for a, b in itertools.combinations(members, 2))
+        assert covered == candidates
 
 
 def test_alpha_vertex_cap():
