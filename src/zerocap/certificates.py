@@ -74,6 +74,10 @@ ALS_ITERATIONS = 80
 LOWER_SEARCH_BUDGET = 10
 DECIDE_SEARCH_BUDGET = 4
 
+#: Restarts of one block count that haemers_upper_search runs as one stacked
+#: batch; its peak memory grows with this, never with the restart budget.
+ALS_CHUNK = 8
+
 
 class VerificationError(ValueError):
     """A certificate failed an exact check.
@@ -725,60 +729,88 @@ def _span_projector(s: NcGraph) -> np.ndarray:
     return v @ gram_inv.to_complex() @ v.conj().T
 
 
-def _residual(
-    c: np.ndarray, d: np.ndarray, q: np.ndarray, n: int, m: int
-) -> float:
-    b = c.conj().T @ d
-    res = 0.0
-    trace = -np.eye(n, dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            blk = b[i * n : (i + 1) * n, j * n : (j + 1) * n]
-            res += float(np.linalg.norm(q @ blk.reshape(-1)) ** 2)
-            if i == j:
-                trace = trace + blk
-    return res + float(np.linalg.norm(trace) ** 2)
+def _residual(c: np.ndarray, d: np.ndarray, q: np.ndarray, m: int) -> np.ndarray:
+    """Squared constraint violation of each stacked pair of k x mn factors.
 
-
-def _als_half_step(
-    fixed_blocks: list[np.ndarray],
-    q: np.ndarray,
-    n: int,
-    m: int,
-    k: int,
-    left_update: bool,
-) -> np.ndarray:
-    """Solve one least-squares half step; returns the updated factor.
-
-    Writing B_ij = Z_i D_j with Z_i = C_i^dag, both half steps are plain
-    complex least squares: the right step holds the Z_i (passed as
-    fixed_blocks, n x k) and solves for D; the left step holds the D_j
-    (k x n) and solves for the Z_i, conjugate-transposed back into C.
-    Rows are the span-projection residual of every block plus the
-    block-trace condition.
+    The sum over blocks B_ij of |q vec(B_ij)|^2 (distance from the span)
+    plus |sum_i B_ii - I|^2, with B = C^dag D; c and d are (r, k, mn).
     """
-    nn = n * n
-    eye_n = np.eye(n)
-    blocks = np.stack(fixed_blocks)
-    unk = n * k
-    if left_update:  # kron(I_n, D_j^T) for every j
-        coef = np.einsum("ac,jdb->jabcd", eye_n, blocks).reshape(m, nn, unk)
-    else:  # kron(Z_i, I_n) for every i
-        coef = np.einsum("jac,bd->jabcd", blocks, eye_n).reshape(m, nn, unk)
-    top = m * m * nn  # membership rows; the last nn rows are the trace
-    a_mat = np.zeros((top + nn, m * unk), dtype=complex)
-    # row block (i, j) holds q @ coef of the fixed block in the column block
-    # of the unknown one: Z_i from D_j on the left step, D_j from Z_i on the right
-    i, j = np.indices((m, m))
-    unknown, fixed = (i, j) if left_update else (j, i)
-    a_mat[:top].reshape(m, m, nn, m, unk)[i, j, :, unknown, :] = (q @ coef)[fixed]
-    a_mat[top:].reshape(nn, m, unk)[:] = coef.transpose(1, 0, 2)
-    rhs = np.zeros(top + nn, dtype=complex)
-    rhs[top:] = eye_n.reshape(-1)
-    sol = np.linalg.lstsq(a_mat, rhs, rcond=None)[0].reshape(m, unk)
+    r, _, mn = c.shape
+    n = mn // m
+    b = (c.conj().transpose(0, 2, 1) @ d).reshape(r, m, n, m, n)
+    rows = b.transpose(0, 1, 3, 2, 4).reshape(r, m * m, n * n)
+    member = np.abs(rows @ q.T) ** 2
+    trace = np.abs(np.einsum("riaib->rab", b) - np.eye(n)) ** 2
+    return member.sum(axis=(1, 2)) + trace.sum(axis=(1, 2))
+
+
+def _min_norm_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Minimum-norm solutions of the stacked Hermitian PSD systems a x = rhs.
+
+    np.linalg.solve seldom raises on a numerically singular matrix, so it
+    also solves for a known probe vector: an item whose probe comes back
+    wrong (or a batch that raises LinAlgError) is solved again through an
+    eigh pseudo-inverse that drops eigenvalues below eps * size * lambda_max,
+    the minimum-norm solution that lstsq gives.
+    """
+    size = a.shape[-1]
+    probe = np.exp(1j * np.arange(size))
+    rhs2 = np.stack([rhs, a @ probe], axis=-1)
+    try:
+        sol = np.linalg.solve(a, rhs2)
+        err = np.linalg.norm(sol[..., 1] - probe, axis=-1)
+        bad = ~(err <= 1e-6 * np.sqrt(size))
+    except np.linalg.LinAlgError:
+        sol = np.zeros_like(rhs2)
+        bad = np.ones(a.shape[0], dtype=bool)
+    x = sol[..., 0]
+    if bad.any():
+        w, v = np.linalg.eigh(a[bad])
+        cut = np.finfo(float).eps * size * w[:, -1:]
+        w_inv = np.divide(1, w, out=np.zeros_like(w), where=w > cut)
+        coef = (v.conj().transpose(0, 2, 1) @ rhs[bad][..., None])[..., 0]
+        x[bad] = (v @ (w_inv * coef)[..., None])[..., 0]
+    return x
+
+
+def _als_half_step(factor: np.ndarray, q4: np.ndarray, left_update: bool) -> np.ndarray:
+    """One least-squares half step for each of the stacked (r, k, mn) factors.
+
+    With B_ij = Z_i D_j and Z_i = C_i^dag, the right step holds C (the
+    factor passed) and solves for D; the left step holds D and solves for
+    C.  Transposing B_ij^T = D_j^T Z_i^T turns the left step into a right
+    step with fixed blocks D_j^T, unknowns Z_i^T = conj(C_i) and the
+    projector q4 with both matrix indices swapped, so one routine serves
+    both.  For fixed n x k blocks Z_f and unknown k x n blocks X_u it
+    minimises sum_{f,u} |q vec(Z_f X_u)|^2 + |sum_f Z_f X_f - I|^2, whose
+    normal matrix is kron(I_m, G) + (Z_f^dag Z_g)_{f,g} (x) I_n with
+    G = sum_f (Z_f (x) I)^dag q (Z_f (x) I), and whose right-hand side is
+    vec(Z_f^dag).
+    """
+    r, k, mn = factor.shape
+    n = q4.shape[0]
+    m = mn // n
     if left_update:
-        return np.concatenate([zi.reshape(n, k).conj().T for zi in sol], axis=1)
-    return np.concatenate([dj.reshape(k, n) for dj in sol], axis=1)
+        q4 = q4.transpose(1, 0, 3, 2)
+    z = factor.reshape(r, k, m, n).transpose(0, 2, 3, 1)  # (r, m, n, k)
+    if not left_update:
+        z = z.conj()
+    # w[(p, a), (q, c)] = sum_f conj(Z_f[p, a]) Z_f[q, c]
+    zf = z.reshape(r, m, n * k)
+    w = zf.conj().transpose(0, 2, 1) @ zf
+    w = w.reshape(r, n, k, n, k).transpose(0, 2, 4, 1, 3).reshape(r, k * k, n * n)
+    # g[(a, b), (c, d)] = sum_{p, q} w[(p, a), (q, c)] q4[p, b, q, d]
+    g = w @ q4.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    g = g.reshape(r, k, k, n, n).transpose(0, 1, 3, 2, 4).reshape(r, k * n, k * n)
+    zs = z.transpose(0, 2, 1, 3).reshape(r, n, m * k)
+    t = (zs.conj().transpose(0, 2, 1) @ zs).reshape(r, m, k, 1, m, k, 1)
+    normal = (t * np.eye(n).reshape(1, 1, 1, n, 1, 1, n)).reshape(r, m * k * n, -1)
+    blocks = np.arange(m)
+    normal.reshape(r, m, k * n, m, k * n)[:, blocks, :, blocks, :] += g
+    rhs = z.conj().transpose(0, 1, 3, 2).reshape(r, m * k * n)
+    x = _min_norm_solve(normal, rhs).reshape(r, m, k, n).transpose(0, 2, 1, 3)
+    x = x.reshape(r, k, mn)
+    return x.conj() if left_update else x
 
 
 def _rationalize_matrix(arr: np.ndarray, cap: int) -> ExactMatrix:
@@ -869,15 +901,27 @@ def haemers_upper_search(
 ) -> Optional[HaemersCertificate]:
     """Numeric search for a rank-k certificate; only verified output escapes.
 
-    Alternating least squares on float factors C, D of shape k x mn:
-    each half step exactly minimizes the squared violation of block
-    membership (orthogonal projection residual against the span) plus the
-    block-trace condition.  Near-feasible points are rounded to Q(i)
-    through a denominator ladder, and each rounding of C is completed by
-    an exact linear solve for D (the constraints are linear in D).  A
-    rounded D could only verify by solving that same system, so D is
-    never rounded itself.  Whatever survives verify_certificate is
-    returned; everything else is discarded.
+    For each block count m of the schedule, up to ``budget`` restarts run
+    alternating least squares on float factors C, D of shape k x mn.  Each
+    half step exactly minimizes the squared violation of block membership
+    (orthogonal projection residual against the span) plus the block-trace
+    condition, by solving its normal equations in closed form: an
+    mkn x mkn Hermitian system kron(I_m, G) + (Z_f^dag Z_g) (x) I_n built
+    from the fixed factor's blocks (see _als_half_step), never the tall
+    (m^2 n^2 + n^2)-row least-squares matrix.  A singular system gets its
+    minimum-norm solution.
+
+    The restarts of one m run together as a stacked batch, ALS_CHUNK at a
+    time, so peak memory does not grow with the budget.  Each restart keeps
+    its own seed, start point and stopping rule (residual below 1e-26, no
+    relative progress of 1e-9, or ALS_ITERATIONS sweeps) and leaves the
+    batch when it stops.  After a chunk, the near-feasible restarts are
+    rounded to Q(i) in restart order through a denominator ladder, and each
+    rounding of C is completed by an exact linear solve for D (the
+    constraints are linear in D).  A rounded D could only verify by
+    solving that same system, so D is never rounded itself.  The first
+    certificate that survives verify_certificate is returned, which is the
+    answer a restart-by-restart loop gives; everything else is discarded.
     """
     if k < 1:
         raise ValueError("rank bound k must be positive")
@@ -885,35 +929,38 @@ def haemers_upper_search(
         raise ValueError(f"restart budget must be positive, got {budget}")
     n = s.n
     schedule = block_count_schedule(n, m_schedule)
-    proj = _span_projector(s)
-    q = np.eye(n * n) - proj
+    q = np.eye(n * n) - _span_projector(s)
+    q4 = q.reshape(n, n, n, n)
     for m in schedule:
         mn = m * n
-        for restart in range(budget):
-            rng = np.random.default_rng(seed + 7919 * restart + 104_729 * m)
-            c = rng.standard_normal((k, mn)) + 1j * rng.standard_normal((k, mn))
-            d = rng.standard_normal((k, mn)) + 1j * rng.standard_normal((k, mn))
-            best = np.inf
+        for first in range(0, budget, ALS_CHUNK):
+            rngs = [
+                np.random.default_rng(seed + 7919 * restart + 104_729 * m)
+                for restart in range(first, min(first + ALS_CHUNK, budget))
+            ]
+            # each restart's generator draws its C, then its D
+            c, d = (
+                np.array(
+                    [g.standard_normal((k, mn)) + 1j * g.standard_normal((k, mn)) for g in rngs]
+                )
+                for _ in "cd"
+            )
+            best = np.full(len(rngs), np.inf)
+            live = np.arange(len(rngs))
             for _ in range(ALS_ITERATIONS):
-                a_blocks = [
-                    c.conj().T[i * n : (i + 1) * n, :] for i in range(m)
-                ]
-                d = _als_half_step(a_blocks, q, n, m, k, left_update=False)
-                d_blocks = [d[:, j * n : (j + 1) * n] for j in range(m)]
-                c = _als_half_step(d_blocks, q, n, m, k, left_update=True)
-                res = _residual(c, d, q, n, m)
-                if res < 1e-26:
+                d[live] = _als_half_step(c[live], q4, left_update=False)
+                c[live] = _als_half_step(d[live], q4, left_update=True)
+                res = _residual(c[live], d[live], q, m)
+                stop = (res < 1e-26) | (res > best[live] * (1 - 1e-9))
+                best[live] = np.fmin(best[live], res)
+                live = live[~stop]
+                if live.size == 0:
                     break
-                if res > best * (1 - 1e-9):
-                    break
-                best = min(best, res)
-            if _residual(c, d, q, n, m) > 1e-10:
-                continue
-            for denom_cap in RATIONALIZE_DENOMINATORS:
-                c_exact = _rationalize_matrix(c, denom_cap)
-                cert = _polish_factor(s, c_exact, k, m)
-                if cert is not None:
-                    return cert
+            for i in np.flatnonzero(_residual(c, d, q, m) <= 1e-10):
+                for denom_cap in RATIONALIZE_DENOMINATORS:
+                    cert = _polish_factor(s, _rationalize_matrix(c[i], denom_cap), k, m)
+                    if cert is not None:
+                        return cert
     return None
 
 

@@ -558,7 +558,7 @@ def test_search_is_reproducible():
 
 
 def _als_half_step_loop(fixed_blocks, q, n, m, k, left_update):
-    """The per-block loop _als_half_step replaced, kept as its oracle."""
+    """The dense lstsq half step that _als_half_step replaced, kept as its oracle."""
     nn = n * n
     eye_n = np.eye(n)
     if left_update:
@@ -588,10 +588,41 @@ def _als_half_step_loop(fixed_blocks, q, n, m, k, left_update):
     )
 
 
+def _residual_loop(c, d, q, n, m):
+    """The per-block residual loop _residual replaced, kept as its oracle."""
+    b = c.conj().T @ d
+    res = 0.0
+    trace = -np.eye(n, dtype=complex)
+    for i in range(m):
+        for j in range(m):
+            blk = b[i * n : (i + 1) * n, j * n : (j + 1) * n]
+            res += float(np.linalg.norm(q @ blk.reshape(-1)) ** 2)
+            if i == j:
+                trace = trace + blk
+    return res + float(np.linalg.norm(trace) ** 2)
+
+
+def _batch_with_a_rank_deficient_restart(rng, n, m, k, left_update):
+    """Fixed blocks of three restarts; in the last, row 1 of every D_j (left)
+    or column 1 of every Z_i (right) repeats row/column 0 when k > 1."""
+    shape = (k, n) if left_update else (n, k)
+    batch = [
+        [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(m)]
+        for _ in range(3)
+    ]
+    if k > 1:
+        for blk in batch[-1]:
+            if left_update:
+                blk[1] = blk[0]
+            else:
+                blk[:, 1] = blk[:, 0]
+    return batch
+
+
 @pytest.mark.parametrize(
     "n, m, k", [(3, 1, 2), (3, 2, 2), (5, 2, 3), (5, 1, 3), (2, 4, 1), (3, 3, 3)]
 )
-def test_als_half_step_matches_the_block_loop_bitwise(n, m, k):
+def test_als_half_step_matches_the_block_loop(n, m, k):
     span = {
         2: diagonal_system(2),
         3: corner_family(Fraction(1, 2)),
@@ -599,15 +630,27 @@ def test_als_half_step_matches_the_block_loop_bitwise(n, m, k):
     }[n]
     q = np.eye(n * n) - certificates_module._span_projector(span)
     rng = np.random.default_rng(100 * n + 10 * m + k)
-    for left_update, shape in ((False, (n, k)), (True, (k, n))):
-        blocks = [
-            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            for _ in range(m)
-        ]
-        got = certificates_module._als_half_step(blocks, q, n, m, k, left_update)
-        want = _als_half_step_loop(blocks, q, n, m, k, left_update)
-        assert got.shape == want.shape == (k, m * n)
-        assert np.array_equal(got, want)
+    for left_update in (False, True):
+        batch = _batch_with_a_rank_deficient_restart(rng, n, m, k, left_update)
+        # the fixed factor: D = [D_1 ... D_m] on the left step, C with
+        # C_i = Z_i^dag on the right step
+        factors = np.stack(
+            [
+                np.concatenate(blocks if left_update else [z.conj().T for z in blocks], axis=1)
+                for blocks in batch
+            ]
+        )
+        got = certificates_module._als_half_step(factors, q.reshape(n, n, n, n), left_update)
+        assert got.shape == (len(batch), k, m * n)
+        for blocks, sol in zip(batch, got):
+            want = _als_half_step_loop(blocks, q, n, m, k, left_update)
+            assert np.allclose(sol, want, rtol=1e-9, atol=1e-12)
+        # the updated factor against the held one, in the order of the search
+        c, d = (got, factors) if left_update else (factors, got)
+        res = certificates_module._residual(c, d, q, m)
+        assert np.allclose(
+            res, [_residual_loop(ci, di, q, n, m) for ci, di in zip(c, d)], rtol=1e-9, atol=1e-12
+        )
 
 
 def test_search_certificate_is_pinned():
@@ -619,6 +662,49 @@ def test_search_certificate_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "e92143c0e81cda23ba4c31d00a15e6c5116084d7a1415b4d947fefe74c109da3"
     )
+
+
+def _digest(cert):
+    if cert is None:
+        return None
+    return hashlib.sha256(json.dumps(cert.to_json_dict(), sort_keys=True).encode()).hexdigest()
+
+
+def test_search_answers_are_pinned():
+    # The answer is the first restart, in order, whose rounding verifies.
+    # full_matrix_system(2) at budget 20 fails every restart of m = 1 (three
+    # chunks) before m = 2, where every restart verifies.
+    corner = corner_family(Fraction(1, 2))
+    cases = [
+        *[(full_matrix_system(n), 1, {"seed": seed}) for n in (2, 3) for seed in range(5)],
+        *[(corner, 3, {"m_schedule": [1], "seed": seed}) for seed in range(3)],
+        (full_matrix_system(2), 1, {"budget": 20, "seed": 3}),
+        (corner, 2, {"m_schedule": [1], "budget": 20}),
+    ]
+    got = [_digest(haemers_upper_search(s, k, **kwargs)) for s, k, kwargs in cases]
+    assert got == [
+        "d79b898a9e59880c5c162aac05c42d4020e793019db203191c6e71e431d3660c",
+        "cac177918aa2cb1d5aa9650054a64d4a9135a82b33a6ecdbf89dd26c72578916",
+        "36b84454ec58c5bd6f35074127923660d451ba4e7f644f88d5560acc3e224020",
+        "2facc8fd2e55cbff881adbb16085b5786704a0fdf8ceaada57efaa10c4dc50c3",
+        "26cc6a3d3c32b21e982f4262bf378d87f505efbd9fc0a47536b1f3589196c5cf",
+        "7285a5ec79edc2b955d686dc3b21b81768b595119c4c308d14b32faed20689b1",
+        "7fca5e61467681bd8431418bc79dd17d70c4fd92fab364cca8d8f27d0062f17a",
+        "9e63743d2990a581903bac0fb97bc69e1ebda461be1249811d7c085db1883456",
+        "d73769f3a1d76dbb265305fd20dbead08a830bb2991f5891c04ab4b5484d1f1f",
+        "7d345fc20011750fa6a9dcd40c4713dfb8dfa9005a6d657730f8a7b85c6404b6",
+        "e92143c0e81cda23ba4c31d00a15e6c5116084d7a1415b4d947fefe74c109da3",
+        "974b6c06e5fc6b76d25769d26498f57cbb5071d99d38c24f313ac26f9ab796e6",
+        "1a8a58076a54d669973f49394a2c8267fec0f78137f4ca3e7915dc6d37d02329",
+        "2facc8fd2e55cbff881adbb16085b5786704a0fdf8ceaada57efaa10c4dc50c3",
+        None,
+    ]
+
+
+def test_search_at_m_equal_n_squared_on_the_pentagon_span_returns():
+    # 25 blocks of M_5: each half step is a 250 x 250 normal system
+    c5 = NcGraph.from_graph(cycle_graph(5))
+    assert haemers_upper_search(c5, 2, m_schedule=[25], budget=1) is None
 
 
 def test_transform_certificates_are_pinned():

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, output shapes, and disk-backed re-verification."""
 
 import argparse
+import hashlib
 import json
 from fractions import Fraction
 
@@ -210,6 +211,17 @@ def test_nc_haemers_searches_only_below_the_constructed_rank(
     assert [lower, upper["rank"]] == [2, 3]
     assert upper["method"] == "identity"
     assert calls == [2]
+
+
+def test_nc_haemers_default_schedule_certificate_is_pinned(tmp_path, capsys):
+    # the default schedule 1,2,n,n^2 searches k = 2 up to m = 9 and finds nothing
+    span = _write_span(tmp_path, "corner.json", corner_family(Fraction(1, 2)))
+    lower, upper, cert_out = _nc_haemers_json(span, tmp_path, capsys)
+    assert [lower, upper["rank"], upper["method"]] == [2, 3, "identity"]
+    text = json.dumps(json.loads(cert_out.read_text()), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "af6a37e69b653e5ae17747376a5269b3dc976857be1b8df1988ab43c4e1e1109"
+    )
 
 
 def test_nc_haemers_full_algebra_needs_no_search(tmp_path, capsys, monkeypatch):
