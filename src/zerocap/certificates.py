@@ -35,7 +35,7 @@ from .classical import (
     unit_diagonal_form,
     verify_fitting,
 )
-from .graphs import Graph, independence_number
+from .graphs import DEFAULT_VERTEX_CAP
 from .exactlinalg import (
     ExactMatrix,
     GaussianRational,
@@ -55,7 +55,7 @@ from .groebner import (
     check_cofactors,
     encode_rank_feasibility,
 )
-from .independence import IndependentSystem, alpha_lower_search, verify_independent
+from .independence import IndependentSystem, alpha_lower_search, axis_witness, verify_independent
 from .ncgraph import NcGraph, check_unitary, conjugate_by_unitary
 from .ncgraph import direct_sum_nc as _direct_sum_span
 from .ncgraph import tensor as _tensor_span
@@ -985,33 +985,16 @@ class LowerBoundReport:
         }
 
 
-def _axis_witness(s: NcGraph) -> Optional[IndependentSystem]:
-    """Largest independent system made of standard basis vectors.
-
-    e_i and e_j are independent in S exactly when every basis element
-    of the span vanishes at (i, j) and (j, i), so the best axis-aligned
-    witness is a maximum independent set of the pairwise conflict graph
-    — exact and cheap at these sizes.  The conflicts are the off-diagonal
-    positions in the union of the basis supports.  Returns None when no
-    pair of axes is independent.
-    """
-    n = s.n
-    support = set().union(*(a.nonzeros() for a in s.basis))
-    conflicts = [divmod(idx, n) for idx in support if idx // n != idx % n]
-    size, vertices = independence_number(Graph.from_edges(n, conflicts))
-    if size < 2:
-        return None
-    witness = IndependentSystem.standard_basis(n, vertices)
-    return witness if verify_independent(s, witness) else None
-
-
 def haemers_lower(s: NcGraph, *, seed: int = 0) -> LowerBoundReport:
     """Max of the exact lower bounds: 1, the proper-subspace bound, witnesses.
 
     Every feasible certificate has rank at least 1; at least 2 when the
     span is a proper subspace of the full matrix algebra; and at least
     the size of any verified independent vector system (via the
-    compression bound).  The report labels which argument won.
+    compression bound).  The report labels which argument won.  On a graph
+    span the axis witness is alpha(G), so only other spans search past it;
+    above graphs.DEFAULT_VERTEX_CAP no witness is sought, and a contribution
+    of 0 says so.
     """
     contributions: list[tuple[int, str]] = [
         (1, "every certificate has rank at least 1")
@@ -1020,13 +1003,21 @@ def haemers_lower(s: NcGraph, *, seed: int = 0) -> LowerBoundReport:
         contributions.append(
             (2, "proper subspace of the full matrix algebra")
         )
-    witness = _axis_witness(s)
-    start = 2 if witness is None else witness.size + 1
-    for target in range(start, s.n + 1):
-        found = alpha_lower_search(s, target, budget=LOWER_SEARCH_BUDGET, seed=seed)
-        if found is None:
-            break
-        witness = found
+    witness = None
+    if s.n > DEFAULT_VERTEX_CAP:
+        contributions.append((0, f"independent vector systems not searched: n = {s.n}"
+                                 f" exceeds the vertex cap {DEFAULT_VERTEX_CAP}"))
+    else:
+        witness = axis_witness(s)
+        if witness is not None and witness.size < 2:
+            witness = None
+        if s.as_graph() is None:
+            start = 2 if witness is None else witness.size + 1
+            for target in range(start, s.n + 1):
+                found = alpha_lower_search(s, target, budget=LOWER_SEARCH_BUDGET, seed=seed)
+                if found is None:
+                    break
+                witness = found
     if witness is not None:
         contributions.append(
             (witness.size, f"verified independent vector system of size {witness.size}")

@@ -32,6 +32,7 @@ from typing import Sequence
 
 from .exactlinalg import ExactMatrix, GaussianRational, ONE, ZERO, hstack
 from .graphs import (
+    DEFAULT_VERTEX_CAP,
     Graph,
     _greedy_clique_cover,
     cycle_graph,
@@ -280,22 +281,25 @@ def best_fitting_matrix(g: Graph) -> tuple[int, FittingMatrix]:
     return _gram_fitting(g, _representation(g))
 
 
-def bounds_report(g: Graph, *, theta_tol: float = 1e-7, power_cap: int = 64) -> ClassicalBounds:
+def bounds_report(
+    g: Graph, *, theta_tol: float = 1e-7, power_cap: int = DEFAULT_VERTEX_CAP
+) -> ClassicalBounds:
     """Assemble α, ϑ, and certificate-backed 𝓗 and ξ̄ bounds for a graph.
 
     The 𝓗 lower bound is max(α, ⌈√α(G⊠G)⌉) — the strong-product root is a
     capacity lower bound and 𝓗 dominates the capacity — computed only when
-    the squared graph fits under the branch-and-bound vertex cap.  Both
-    upper bounds come from one verified orthogonal representation
-    (_representation: a greedy clique cover, or the pentagon's): ξ̄ is its
-    dimension and 𝓗 the rank of its Gram fitting matrix (best_fitting_matrix).
+    the squared graph fits under power_cap, the branch-and-bound vertex cap
+    both independence numbers run under.  Both upper bounds come from one
+    verified orthogonal representation (_representation: a greedy clique
+    cover, or the pentagon's): ξ̄ is its dimension and 𝓗 the rank of its
+    Gram fitting matrix (best_fitting_matrix).
     """
-    alpha, _ = independence_number(g)
+    alpha, _ = independence_number(g, power_cap)
     theta = lovasz_theta(g, tol=theta_tol).value
 
     lower, reason = alpha, "independence number"
     if g.n * g.n <= power_cap:
-        a2 = independence_number(strong_product(g, g))[0]
+        a2 = independence_number(strong_product(g, g), power_cap)[0]
         root = _ceil_isqrt(a2)
         if root > lower:
             lower, reason = root, "square root of the strong-square independence number"

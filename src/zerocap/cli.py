@@ -10,10 +10,13 @@ Subcommands:
     selftest paper                   run the acceptance suite
 
 Every command takes ``--json`` for machine-readable output, ``--seed``
-(a non-negative integer, default 0) so searches are reproducible, and ``--config FILE`` pointing
+(a non-negative integer, default 0) so searches are reproducible on one
+numpy/BLAS build and CPU (not across them), and ``--config FILE`` pointing
 at a key=value file for the caps (graph-n-cap, sdp-tol, groebner-budget,
-m-cap).  ``selftest paper`` also takes ``--jobs``, the one place the CLI
-fans work out.  Usage problems exit 2; a failed verification exits 1 with a
+m-cap).  graph-n-cap is the vertex cap of the exact independence number in
+``graph alpha`` and ``graph report``; the latter takes alpha of the strong
+square only when n^2 fits under it.  ``selftest paper`` also takes
+``--jobs``, the one place the CLI fans work out.  Usage problems exit 2; a failed verification exits 1 with a
 JSON diagnostic on standard error; success exits 0.
 
 Numbers printed with provenance ``certificate:<path>`` are re-derived
@@ -69,7 +72,7 @@ from .classical import (
     verify_fitting,
 )
 from .exactlinalg import ExactMatrix, parse_scalar
-from .graphs import Graph, independence_number, strong_power
+from .graphs import DEFAULT_VERTEX_CAP, Graph, independence_number, strong_power
 from .ncgraph import (
     ClassicalChannel,
     NcGraph,
@@ -88,7 +91,7 @@ from .theta import DEFAULT_TOL, lovasz_theta
 class CliConfig:
     """Caps read from the optional key=value config file."""
 
-    graph_n_cap: int = 64
+    graph_n_cap: int = DEFAULT_VERTEX_CAP
     sdp_tol: float = DEFAULT_TOL
     groebner_budget: float = 60.0
     m_cap: Optional[int] = None

@@ -31,7 +31,7 @@ from .exactlinalg import (
     parse_scalar,
     rationalize,
 )
-from .graphs import independence_number
+from .graphs import Graph, independence_number
 from .ncgraph import NcGraph
 
 #: Denominator caps tried, in order, when rounding a float vector to Q(i).
@@ -112,6 +112,21 @@ def verify_independent(s: NcGraph, sys_: IndependentSystem) -> bool:
     return True
 
 
+def axis_witness(s: NcGraph) -> Optional[IndependentSystem]:
+    """Largest independent system of standard basis vectors, exactly.
+
+    e_i and e_j are independent in S iff S vanishes at (i, j) and (j, i): a
+    maximum independent set (branch and bound) of the conflict graph on the
+    off-diagonal support, which on S_G is G.  Returned only if
+    verify_independent passes; ValueError above graphs.DEFAULT_VERTEX_CAP.
+    """
+    n = s.n
+    conflicts = [divmod(c, n) for c in s.support if c // n != c % n]
+    _size, vertices = independence_number(Graph.from_edges(n, conflicts))
+    witness = IndependentSystem.standard_basis(n, vertices)
+    return witness if verify_independent(s, witness) else None
+
+
 def _rationalize_vector(
     v: np.ndarray, cap: int
 ) -> Optional[ExactMatrix]:
@@ -138,9 +153,9 @@ def alpha_lower_search(
 ) -> Optional[IndependentSystem]:
     """Search for a verified independent system of size l_target.
 
-    Graph-form spans are handled exactly: the branch-and-bound independence
-    number decides the question outright and a standard-basis witness is
-    returned (so a None answer is a proof of absence there).  Otherwise the
+    Graph-form spans are handled exactly: the axis witness decides the
+    question outright and its first l_target vectors are returned (so a
+    None answer is a proof of absence there).  Otherwise the
     search alternates smallest-eigenvector updates over l_target vectors,
     driving the residual sum of |<psi_i|A_b|psi_j>|^2 toward zero, then
     rationalizes each vector (largest entry scaled to 1, denominators
@@ -153,14 +168,11 @@ def alpha_lower_search(
         raise ValueError("l_target must be at least 1")
     n = s.n
 
-    g = s.as_graph()
-    if g is not None:
-        size, witness = independence_number(g)
-        if size < l_target:
+    if s.as_graph() is not None:
+        witness = axis_witness(s)
+        if witness is None or witness.size < l_target:
             return None
-        chosen = sorted(witness)[:l_target]
-        out = IndependentSystem.standard_basis(n, chosen)
-        return out if verify_independent(s, out) else None
+        return IndependentSystem(n, witness.vectors[:l_target])
 
     if l_target == 1:
         out = IndependentSystem.standard_basis(n, [0])

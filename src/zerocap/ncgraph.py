@@ -39,7 +39,7 @@ def _adjoint_row(row: SparseRow, n: int) -> SparseRow:
 class NcGraph:
     """Subspace of M_n with canonical echelon basis; immutable."""
 
-    __slots__ = ("n", "_rows", "_echelon", "_self_adjoint", "_has_identity")
+    __slots__ = ("n", "_rows", "_echelon", "_support", "_self_adjoint", "_has_identity")
 
     def __init__(self, n: int, rows: Sequence[SparseRow]):
         if n < 1:
@@ -51,6 +51,7 @@ class NcGraph:
                 raise ValueError("coordinate out of range for ambient dimension")
         self._rows = tuple(canon)
         self._echelon = tuple((min(r), r) for r in self._rows)
+        self._support = frozenset().union(*self._rows)
         identity_row = {i * n + i: ONE for i in range(n)}
         self._has_identity = not reduce_row(identity_row, self._echelon)
         self._self_adjoint = all(
@@ -87,6 +88,11 @@ class NcGraph:
     def basis(self) -> list[ExactMatrix]:
         """Canonical basis as matrices."""
         return [ExactMatrix.from_nonzeros(self.n, self.n, r) for r in self._rows]
+
+    @property
+    def support(self) -> frozenset[int]:
+        """Row-major coordinates where some element of the span is nonzero."""
+        return self._support
 
     @property
     def is_self_adjoint(self) -> bool:
@@ -147,19 +153,18 @@ class NcGraph:
         return out
 
     def as_graph(self) -> Optional[Graph]:
-        """The graph G with S = S_G, if this span is of that form."""
-        n = self.n
-        for i in range(n):
-            if not self.contains(matrix_unit(n, i, i)):
-                return None
-        edges = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if self.contains(matrix_unit(n, i, j))
-        ]
-        g = Graph.from_edges(n, edges)
-        return g if self == NcGraph.from_graph(g) else None
+        """The graph G with S = S_G, if this span is of that form.
+
+        S is the span of the matrix units on its support iff dim S is the
+        support's size; that span is S_G iff the support holds the diagonal
+        and is closed under transposition, with G's edges above the diagonal.
+        """
+        n, support = self.n, self._support
+        diagonal = {i * (n + 1) for i in range(n)}
+        transposed = {(c % n) * n + c // n for c in support}
+        if self.dim != len(support) or not diagonal <= support or transposed != support:
+            return None
+        return Graph.from_edges(n, [divmod(c, n) for c in support if c // n < c % n])
 
     # -- JSON ---------------------------------------------------------------
 

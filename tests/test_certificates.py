@@ -851,3 +851,46 @@ def test_decide_warns_above_variable_guideline():
     with pytest.warns(UserWarning, match="guideline"):
         decision = haemers_exact_decide(diagonal_system(2), 2, 2, time_budget=0.01)
     assert decision.status in ("unknown", "unknown-feasible", "feasible")
+
+
+def test_lower_bound_reports_are_pinned():
+    c5 = NcGraph.from_graph(cycle_graph(5))
+    spans = [
+        c5,
+        NcGraph.from_graph(cycle_graph(7)),
+        direct_sum_nc(c5, c5),
+        tensor(c5, c5),
+        corner_family(Fraction(1, 2)),
+    ]
+    got = [
+        hashlib.sha256(
+            json.dumps(haemers_lower(s, seed=0).to_json_dict(), sort_keys=True).encode()
+        ).hexdigest()
+        for s in spans
+    ]
+    assert got == [
+        "1b9d0c296003e419a2839844f4919b961aac9ab029dbf792374c56e4a6b7f732",
+        "cd2c6c35a567a7649c1ec1f903337dbbf9d18641353429fce28bc047bbfdab32",
+        "a945311d4f64ef8fdf1f8b73bcec702c2d42c62671a60a83d30973b6abb1d981",
+        "85445cccde52ad25ea29c25a6dade01816e7829cf70b4b136ef620ed975dda1c",
+        "a1e2abcc3e325c78b815e3fece698e26e40c1c18bad3e7920d8bf51ce62b2f07",
+    ]
+
+
+def test_lower_bound_of_a_graph_span_stops_at_the_axis_witness(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        certificates_module, "alpha_lower_search", lambda *a, **kw: calls.append(a)
+    )
+    c5 = NcGraph.from_graph(cycle_graph(5))
+    assert haemers_lower(tensor(c5, c5)).value == 5
+    assert haemers_lower(NcGraph.from_graph(complete_graph(3))).value == 1
+    assert calls == []
+
+
+def test_lower_bound_above_the_vertex_cap_skips_the_witnesses():
+    report = haemers_lower(NcGraph.from_graph(cycle_graph(65)))
+    assert report.value == 2 and report.witness is None
+    assert report.contributions[-1] == (
+        0, "independent vector systems not searched: n = 65 exceeds the vertex cap 64"
+    )

@@ -541,6 +541,27 @@ def test_jobs_is_a_selftest_option_only(c5_file):
     assert exc.value.code == 2
 
 
+def test_graph_report_honours_the_vertex_cap_of_the_config(tmp_path, capsys):
+    # alpha(C9 x C9) = 18 on 81 vertices: over the default cap, under 100
+    path = tmp_path / "c9.dimacs"
+    path.write_text(cycle_graph(9).to_text())
+    cfg = tmp_path / "caps.cfg"
+    cfg.write_text("graph-n-cap = 100\n")
+    argv = ["graph", "report", str(path), "--cert-dir", str(tmp_path / "certs"), "--json"]
+    assert main([*argv, "--config", str(cfg)]) == 0
+    rows = {name: value for name, value, _ in json.loads(capsys.readouterr().out)["rows"]}
+    assert (rows["haemers-lower"], rows["haemers-upper"]) == (5, 5)
+    assert main(argv) == 0
+    rows = {name: value for name, value, _ in json.loads(capsys.readouterr().out)["rows"]}
+    assert (rows["haemers-lower"], rows["haemers-upper"]) == (4, 5)
+
+
+def test_nc_haemers_above_the_vertex_cap_keeps_the_subspace_bound(tmp_path, capsys):
+    span = _write_span(tmp_path, "c65.json", NcGraph.from_graph(cycle_graph(65)))
+    lower, upper, _ = _nc_haemers_json(span, tmp_path, capsys, "--k-max", "1")
+    assert [lower, upper["rank"], upper["method"]] == [2, 33, "fitting-lift"]
+
+
 def test_config_unknown_key_exits_2(c5_file, tmp_path, capsys):
     cfg = tmp_path / "caps.cfg"
     cfg.write_text("not-a-cap = 1\n")

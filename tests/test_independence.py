@@ -3,15 +3,19 @@
 import pytest
 
 from zerocap.exactlinalg import ExactMatrix
-from zerocap.graphs import cycle_graph
+import random
+
+from zerocap.graphs import cycle_graph, independence_number, random_graph
 from zerocap.independence import (
     IndependentSystem,
     alpha_lower_search,
+    axis_witness,
     verify_independent,
 )
 from zerocap.ncgraph import (
     NcGraph,
     conjugate_by_unitary,
+    corner_family,
     diagonal_system,
     full_matrix_system,
     tensor,
@@ -75,6 +79,28 @@ def test_dimension_mismatch_raises():
         )
     with pytest.raises(ValueError):
         IndependentSystem(3, (ExactMatrix.from_strings([["1"], ["0"]]),))
+
+
+# -- axis witness ---------------------------------------------------------
+
+
+def test_axis_witness_on_a_graph_span_is_the_independence_number():
+    rng = random.Random(7)
+    for _ in range(20):
+        g = random_graph(rng.randint(1, 8), rng.random(), rng)
+        size, vertices = independence_number(g)
+        assert axis_witness(NcGraph.from_graph(g)) == IndependentSystem.standard_basis(
+            g.n, vertices
+        )
+
+
+def test_axis_witness_reads_conflicts_off_the_support():
+    # corner_family(1) is nonzero off the diagonal only at (0, 2) and (2, 0):
+    # axes 0 and 2 conflict, and axis 1 joins either of them
+    assert axis_witness(corner_family(1)) == IndependentSystem.standard_basis(3, [0, 1])
+    assert axis_witness(full_matrix_system(2)).size == 1
+    with pytest.raises(ValueError, match="raise the cap"):
+        axis_witness(diagonal_system(65))
 
 
 # -- search --------------------------------------------------------------

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from zerocap.exactlinalg import ExactMatrix, GaussianRational, ZERO
+from zerocap.exactlinalg import ONE, ExactMatrix, GaussianRational, ZERO
 from zerocap.graphs import (
+    Graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -119,6 +120,95 @@ def test_as_graph_roundtrip_and_rejection():
         assert NcGraph.from_graph(g).as_graph() == g
     assert scalar_identity_system(2).as_graph() is None
     assert constant_diagonal_system(2).as_graph() is None
+
+
+def _as_graph_by_probing(s):
+    """The former as_graph: probe matrix units, rebuild S_G, compare spans."""
+    n = s.n
+    if not all(s.contains(matrix_unit(n, i, i)) for i in range(n)):
+        return None
+    edges = [
+        (i, j) for i in range(n) for j in range(i + 1, n) if s.contains(matrix_unit(n, i, j))
+    ]
+    g = Graph.from_edges(n, edges)
+    return g if s == NcGraph.from_graph(g) else None
+
+
+def _unit_span(n, coords):
+    return NcGraph(n, [{c: ONE} for c in coords])
+
+
+def _rotation_5():
+    """Rotation [[3/5, 4/5], [-4/5, 3/5]] on coordinates (0, 1) and (2, 4)."""
+    u = [[Fraction(int(i == j)) for j in range(5)] for i in range(5)]
+    for a, b in ((0, 1), (2, 4)):
+        u[a][a] = u[b][b] = Fraction(3, 5)
+        u[a][b], u[b][a] = Fraction(4, 5), Fraction(-4, 5)
+    return ExactMatrix.from_rows([[GaussianRational(x) for x in row] for row in u])
+
+
+def _as_graph_corpus():
+    rng = random.Random(14)
+    c5 = NcGraph.from_graph(cycle_graph(5))
+    spans = [
+        c5,
+        direct_sum_nc(c5, c5),
+        tensor(c5, c5),
+        conjugate_by_unitary(c5, _rotation_5()),
+        *(corner_family(Fraction(c)) for c in ("1/2", "1/4", "3/4", "1")),
+        *(f(n) for n in (1, 2, 3) for f in (full_matrix_system, scalar_identity_system,
+                                            diagonal_system, constant_diagonal_system)),
+    ]
+    for _ in range(120):
+        spans.append(NcGraph.from_graph(random_graph(rng.randint(1, 7), rng.random(), rng)))
+    for _ in range(30):
+        # a graph span missing one diagonal unit, or holding one unpaired unit
+        n = rng.randint(2, 6)
+        g = random_graph(n, rng.random(), rng)
+        coords = set(NcGraph.from_graph(g).support)
+        if rng.random() < 0.5:
+            coords.discard(rng.randrange(n) * (n + 1))
+        else:
+            i, j = rng.sample(range(n), 2)
+            coords.add(i * n + j)
+            coords.discard(j * n + i)
+        spans.append(_unit_span(n, coords))
+    for _ in range(30):
+        # S_G with two units merged into one two-entry row
+        n = rng.randint(2, 6)
+        coords = sorted(NcGraph.from_graph(random_graph(n, rng.random(), rng)).support)
+        a, b = rng.sample(coords, 2)
+        rows = [{c: ONE} for c in coords if c not in (a, b)]
+        rows.append({a: ONE, b: rand_gr(rng) or ONE})
+        spans.append(NcGraph(n, rows))
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        spans.append(_unit_span(n, rng.sample(range(n * n), rng.randint(0, n * n))))
+    return spans
+
+
+def test_as_graph_agrees_with_probing_and_rebuilding():
+    spans = _as_graph_corpus()
+    assert len(spans) >= 214
+    answers = [s.as_graph() for s in spans]
+    assert answers == [_as_graph_by_probing(s) for s in spans]
+    # the corpus exercises both answers
+    assert 100 < sum(g is not None for g in answers) < len(spans) - 50
+
+
+def test_as_graph_reads_the_support_without_membership_tests(monkeypatch):
+    calls = []
+    contains = NcGraph.contains
+
+    def counting(self, a):
+        calls.append(a)
+        return contains(self, a)
+
+    monkeypatch.setattr(NcGraph, "contains", counting)
+    c5 = NcGraph.from_graph(cycle_graph(5))
+    assert tensor(c5, c5).as_graph() == strong_product(cycle_graph(5), cycle_graph(5))
+    assert corner_family(Fraction(1, 2)).as_graph() is None
+    assert calls == []
 
 
 def test_tensor_matches_strong_product():
