@@ -24,7 +24,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,10 +43,11 @@ from .exactlinalg import (
     ZERO,
     column_blocks,
     hstack,
+    integer_row,
     require_int,
     require_list,
     rank_factorization,
-    rationalize,
+    rationalize_array,
 )
 from .groebner import (
     DEFAULT_TIME_BUDGET,
@@ -54,6 +55,7 @@ from .groebner import (
     buchberger,
     check_cofactors,
     encode_rank_feasibility,
+    factor_variable_count,
 )
 from .independence import IndependentSystem, alpha_lower_search, axis_witness, verify_independent
 from .ncgraph import NcGraph, check_unitary, conjugate_by_unitary
@@ -94,6 +96,11 @@ class VerificationError(ValueError):
         self.where = where
 
 
+def max_block_count(n: int) -> int:
+    """The sanity cap n^4 on the block count m of a certificate in M_n."""
+    return n**4
+
+
 # -- certificate types ------------------------------------------------
 
 
@@ -118,10 +125,9 @@ class HaemersCertificate:
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1 or self.k < 1:
             raise ValueError("n, m, k must all be positive")
-        if self.m > self.n**4:
-            raise ValueError(
-                f"block count m = {self.m} exceeds the sanity cap n^4 = {self.n ** 4}"
-            )
+        cap = max_block_count(self.n)
+        if self.m > cap:
+            raise ValueError(f"block count m = {self.m} exceeds the sanity cap n^4 = {cap}")
         want = (self.k, self.m * self.n)
         if self.C.shape != want or self.D.shape != want:
             raise ValueError(
@@ -339,14 +345,9 @@ def random_certificate(
     for i in range(m):
         blocks[i][i] = blocks[i][i] - excess
 
-    rows: list[list[GaussianRational]] = []
-    for i in range(m):
-        for p in range(n):
-            row: list[GaussianRational] = []
-            for j in range(m):
-                row.extend(blocks[i][j].row(p))
-            rows.append(row)
-    b = ExactMatrix.from_rows(rows)
+    b = ExactMatrix.from_rows(
+        [sum((blk.row(p) for blk in blocks[i]), ()) for i in range(m) for p in range(n)]
+    )
     p_fac, q_fac = rank_factorization(b)
     cert = HaemersCertificate(
         n=n, m=m, k=q_fac.rows, C=p_fac.conj_transpose(), D=q_fac
@@ -599,9 +600,7 @@ def homomorphism_kraus(
     for a, image in enumerate(vertex_map):
         if not 0 <= image < n_to:
             raise ValueError(f"vertex {a} maps outside the target ({image})")
-        rows = [[ZERO] * n_from for _ in range(n_to)]
-        rows[image][a] = ONE
-        ops.append(ExactMatrix.from_rows(rows))
+        ops.append(ExactMatrix.from_nonzeros(n_to, n_from, {image * n_from + a: ONE}))
     return ops
 
 
@@ -639,23 +638,17 @@ def independent_witness_kraus(sys_: IndependentSystem) -> list[ExactMatrix]:
     diagonal_system(l), target = the span the witness was verified for).
     """
     ell = sys_.size
-    n = sys_.n
     ops: list[ExactMatrix] = []
     for a, psi in enumerate(sys_.vectors):
-        scale = lcm(*(psi[p, 0].re.denominator for p in range(n)),
-                    *(psi[p, 0].im.denominator for p in range(n)))
-        norm_sq = 0
-        for p in range(n):
-            val = psi[p, 0]
-            re = val.re * scale
-            im = val.im * scale
-            norm_sq += re.numerator**2 + im.numerator**2
+        ints = integer_row(psi.nonzeros())  # L psi_a, with N = ||L psi_a||^2
+        norm_sq = sum(re * re + im * im for re, im in ints.values())
         for part in _four_square(norm_sq):
-            weight = GaussianRational(Fraction(scale * part, norm_sq))
-            rows = [[ZERO] * ell for _ in range(n)]
-            for p in range(n):
-                rows[p][a] = psi[p, 0] * weight
-            ops.append(ExactMatrix.from_rows(rows))
+            entries = {
+                p * ell + a: GaussianRational(Fraction(re * part, norm_sq),
+                                              Fraction(im * part, norm_sq))
+                for p, (re, im) in ints.items()
+            }
+            ops.append(ExactMatrix.from_nonzeros(sys_.n, ell, entries))
     return ops
 
 
@@ -813,22 +806,6 @@ def _als_half_step(factor: np.ndarray, q4: np.ndarray, left_update: bool) -> np.
     return x.conj() if left_update else x
 
 
-def _rationalize_matrix(arr: np.ndarray, cap: int) -> ExactMatrix:
-    rows = []
-    for r in range(arr.shape[0]):
-        row = []
-        for c in range(arr.shape[1]):
-            val = arr[r, c]
-            row.append(
-                GaussianRational(
-                    rationalize(float(val.real), cap),
-                    rationalize(float(val.imag), cap),
-                )
-            )
-        rows.append(row)
-    return ExactMatrix.from_rows(rows)
-
-
 def _polish_factor(
     s: NcGraph, c_exact: ExactMatrix, k: int, m: int
 ) -> Optional[HaemersCertificate]:
@@ -882,7 +859,7 @@ def block_count_schedule(
 ) -> list[int]:
     """Block counts to search in M_n, ascending: m_schedule (default 1, 2, n,
     n^2) cut to [1, min(m_cap, n^4)]; ValueError when none is left."""
-    cap = n**4 if m_cap is None else min(m_cap, n**4)
+    cap = max_block_count(n) if m_cap is None else min(m_cap, max_block_count(n))
     if m_schedule is None:
         m_schedule = [1, 2, n, n * n]
     schedule = sorted({m for m in m_schedule if 1 <= m <= cap})
@@ -958,7 +935,7 @@ def haemers_upper_search(
                     break
             for i in np.flatnonzero(_residual(c, d, q, m) <= 1e-10):
                 for denom_cap in RATIONALIZE_DENOMINATORS:
-                    cert = _polish_factor(s, _rationalize_matrix(c[i], denom_cap), k, m)
+                    cert = _polish_factor(s, rationalize_array(c[i], denom_cap), k, m)
                     if cert is not None:
                         return cert
     return None
@@ -1066,9 +1043,10 @@ def haemers_exact_decide(
     the numeric search then tries to extract a verified certificate, and
     honesty demands "unknown-feasible" when it cannot.
     """
-    if not 1 <= m <= s.n**4:
-        raise ValueError(f"block count m = {m} must lie in [1, n^4 = {s.n ** 4}]")
-    nvars = 4 * k * m * s.n
+    cap = max_block_count(s.n)
+    if not 1 <= m <= cap:
+        raise ValueError(f"block count m = {m} must lie in [1, n^4 = {cap}]")
+    nvars = factor_variable_count(s.n, k, m)
     if nvars > EXACT_DECIDE_VAR_GUIDELINE:
         warnings.warn(
             f"{nvars} real variables exceeds the guideline of "

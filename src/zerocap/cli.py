@@ -73,6 +73,7 @@ from .classical import (
 )
 from .exactlinalg import ExactMatrix, parse_scalar
 from .graphs import DEFAULT_VERTEX_CAP, Graph, independence_number, strong_power
+from .groebner import factor_variable_count
 from .ncgraph import (
     ClassicalChannel,
     NcGraph,
@@ -318,7 +319,7 @@ def _cmd_nc_haemers(args: argparse.Namespace, cfg: CliConfig) -> int:
         for k in range(1, rank):
             verdicts = []
             for m in (1, 2):
-                if 4 * k * m * s.n > EXACT_DECIDE_VAR_GUIDELINE:
+                if factor_variable_count(s.n, k, m) > EXACT_DECIDE_VAR_GUIDELINE:
                     verdicts.append(f"m={m}: skipped (too many variables)")
                     continue
                 decision = haemers_exact_decide(

@@ -4,9 +4,11 @@ Everything that certifies a bound in this package runs through this module:
 matrices that store only their nonzero entries; rank, exact linear solves,
 rank factorization and the canonical basis of a span of matrices, which
 share one fraction-free Gauss-Jordan kernel on sparse rows over the
-Gaussian integers Z[i]; and a positive semidefiniteness test by recursive
-Schur complements.  Scalars are pairs of ``fractions.Fraction`` so there
-is no precision cap and no rounding, ever.
+Gaussian integers Z[i]; a positive semidefiniteness test that runs the
+kernel's row step with diagonal pivots; and span membership, a one-pass
+remainder against the canonical basis scaled into Z[i].  No elimination
+does Q(i) arithmetic.  Scalars are pairs of ``fractions.Fraction`` so
+there is no precision cap and no rounding, ever.
 
 Floating point enters the package only in heuristic searches and the SDP
 solver; results coming from there are always re-checked here before being
@@ -220,6 +222,15 @@ def rationalize(x: float, max_denominator: int) -> Fraction:
         if q > max_denominator:
             return Fraction(p_prev, q_prev)
     return Fraction(p, q)
+
+
+def rationalize_array(a, max_denominator: int) -> "ExactMatrix":
+    """The 2-D complex array a rounded entrywise, both parts by rationalize."""
+    return ExactMatrix.from_rows([
+        [GaussianRational(rationalize(float(z.real), max_denominator),
+                          rationalize(float(z.imag), max_denominator)) for z in row]
+        for row in a
+    ])
 
 
 # -- matrices --------------------------------------------------------
@@ -530,40 +541,28 @@ class ExactMatrix:
     def is_psd(self) -> bool:
         """Exact test: True iff self is Hermitian and positive semidefinite.
 
-        Recursive Schur complements with symmetric pivoting.  A zero
-        diagonal entry with a nonzero entry elsewhere in its row certifies
-        non-PSD (the 2x2 principal minor there is negative); a zero
-        diagonal entry with a zero row is removed; otherwise the first
-        positive pivot is eliminated and the Schur complement recursed on.
+        Eliminates the rows scaled into Z[i] with the Bareiss step, diagonal
+        pivots in index order.  Each row stays a positive multiple of its
+        Schur complement row, which keeps every sign and zero read here.  A
+        non-real or negative diagonal entry certifies non-PSD, as does a
+        zero one whose row still holds anything (a 2x2 principal minor there
+        is negative); an empty row is dropped.
         """
         if not self.is_hermitian():
             return False
-        idx = list(range(self.rows))
-        get = self._nz.get
-        M = {(i, j): get(i * self.cols + j, ZERO) for i in idx for j in idx}
-        while idx:
-            drop = []
-            for i in idx:
-                d = M[(i, i)]
-                if d.im != 0 or d.re < 0:
-                    return False
-                if d.re == 0:
-                    if any(not M[(i, j)].is_zero() for j in idx):
-                        return False
-                    drop.append(i)
-            if drop:
-                idx = [i for i in idx if i not in drop]
+        rows = _integer_rows(self)
+        prev = (1, 0)
+        for c, prow in enumerate(rows):
+            if not prow:
                 continue
-            p = idx[0]
-            d = M[(p, p)]
-            rest = idx[1:]
-            for i in rest:
-                mip = M[(i, p)]
-                if mip.is_zero():
-                    continue
-                for j in rest:
-                    M[(i, j)] = M[(i, j)] - mip * M[(p, j)] / d
-            idx = rest
+            p = prow.get(c, (0, 0))
+            if p[1] or p[0] <= 0:
+                return False
+            for i in range(c + 1, len(rows)):
+                f = rows[i].get(c, (0, 0))
+                if f != (0, 0) or p != prev:
+                    rows[i] = _bareiss_step(rows[i], prow, f, p, prev)
+            prev = p
         return True
 
 
@@ -621,11 +620,16 @@ IntegerRow = dict[int, GaussianInt]
 SparseRow = dict[int, GaussianRational]
 
 
-def _integer_row(row: SparseRow) -> IntegerRow:
-    """row scaled by the lcm of its denominators into Z[i], zeros dropped."""
+def _denominator_lcm(rows: Iterable[SparseRow]) -> int:
+    return math.lcm(*(d for row in rows for x in row.values()
+                      for d in (x.re.denominator, x.im.denominator)))
+
+
+def integer_row(row: SparseRow, scale: int = 0) -> IntegerRow:
+    """scale * row in Z[i], zeros dropped; scale is a multiple of the lcm of
+    row's denominators, by default that lcm."""
     row = {j: x for j, x in row.items() if not x.is_zero()}
-    scale = math.lcm(*(x.re.denominator for x in row.values()),
-                     *(x.im.denominator for x in row.values()))
+    scale = scale or _denominator_lcm([row])
     return {
         j: (x.re.numerator * (scale // x.re.denominator),
             x.im.numerator * (scale // x.im.denominator))
@@ -634,12 +638,12 @@ def _integer_row(row: SparseRow) -> IntegerRow:
 
 
 def _integer_rows(a: ExactMatrix) -> list[IntegerRow]:
-    """The rows of a, each scaled into Z[i] by _integer_row."""
+    """The rows of a, each scaled into Z[i] by integer_row."""
     rows: list[SparseRow] = [{} for _ in range(a.rows)]
     for k, x in a._nz.items():
         i, j = divmod(k, a.cols)
         rows[i][j] = x
-    return [_integer_row(row) for row in rows]
+    return [integer_row(row) for row in rows]
 
 
 def _divide(x: GaussianInt, d: GaussianInt) -> GaussianRational:
@@ -649,6 +653,26 @@ def _divide(x: GaussianInt, d: GaussianInt) -> GaussianRational:
     return GaussianRational(
         Fraction(xr * dr + xi * di, norm), Fraction(xi * dr - xr * di, norm)
     )
+
+
+def _bareiss_step(row: IntegerRow, pivot_row: IntegerRow, f: GaussianInt,
+                  p: GaussianInt, prev: GaussianInt) -> IntegerRow:
+    """The Bareiss row update (p * row - f * pivot_row) / prev, zeros dropped,
+    for f row's entry in the pivot column, p the pivot and prev the previous
+    one; the caller ensures the division is exact in Z[i]."""
+    (pr, pi), (fr, fi), (dr, di) = p, f, prev
+    acc = {j: (pr * xr - pi * xi, pr * xi + pi * xr) for j, (xr, xi) in row.items()}
+    if fr or fi:
+        for j, (yr, yi) in pivot_row.items():
+            ar, ai = acc.get(j, (0, 0))
+            acc[j] = (ar - fr * yr + fi * yi, ai - fr * yi - fi * yr)
+    # division by prev: multiply by conj(prev), then divide by |prev|^2
+    norm = dr * dr + di * di
+    return {
+        j: ((ar * dr + ai * di) // norm, (ai * dr - ar * di) // norm)
+        for j, (ar, ai) in acc.items()
+        if ar or ai
+    }
 
 
 def _fraction_free_rref(
@@ -662,12 +686,11 @@ def _fraction_free_rref(
     each row to Gaussian integers first; row scaling changes neither the
     row space nor the reduced row echelon form (RREF).  Pivots are taken
     in columns below ncols only, at the first nonzero entry in column
-    order.  For a pivot p every other row becomes
-    (p * row - f * pivot_row) / prev, with f its entry in the pivot column
-    and prev the previous pivot (1 at the start), over the union of the two
-    rows' columns; a row with f = 0 is only rescaled by p / prev, so it is
-    left alone when p == prev.  The division is exact in Z[i], since every
-    entry stays a minor of the scaled input.  The rows are updated in place.
+    order.  For a pivot p every other row takes the Bareiss step
+    (p * row - f * pivot_row) / prev of _bareiss_step, which is_psd shares,
+    with prev the previous pivot (1 at the start); a row with f = 0 is left
+    alone when p == prev.  Every entry stays a minor of the scaled input, so
+    the division is exact in Z[i].  The rows are updated in place.
 
     Returns (pivots, rows, d): the pivot columns, the eliminated rows with
     the pivot rows first in pivot order, and the last pivot d, which every
@@ -676,7 +699,7 @@ def _fraction_free_rref(
     """
     nrows = len(rows)
     pivots: list[int] = []
-    dr, di = 1, 0
+    prev = (1, 0)
     # a column no input row touches never gets an entry
     for c in sorted({j for row in rows for j in row if j < ncols}):
         r = len(pivots)
@@ -687,28 +710,14 @@ def _fraction_free_rref(
             continue
         rows[r], rows[found] = rows[found], rows[r]
         prow = rows[r]
-        pr, pi = prow[c]
-        # division by prev: multiply by conj(prev), then divide by |prev|^2
-        norm = dr * dr + di * di
+        p = prow[c]
         for i, row in enumerate(rows):
-            if i == r:
-                continue
-            fr, fi = row.get(c, (0, 0))
-            if not (fr or fi) and (pr, pi) == (dr, di):
-                continue
-            acc = {j: (pr * xr - pi * xi, pr * xi + pi * xr) for j, (xr, xi) in row.items()}
-            if fr or fi:
-                for j, (yr, yi) in prow.items():
-                    ar, ai = acc.get(j, (0, 0))
-                    acc[j] = (ar - fr * yr + fi * yi, ai - fr * yi - fi * yr)
-            rows[i] = {
-                j: ((ar * dr + ai * di) // norm, (ai * dr - ar * di) // norm)
-                for j, (ar, ai) in acc.items()
-                if ar or ai
-            }
+            f = row.get(c, (0, 0))
+            if i != r and (f != (0, 0) or p != prev):
+                rows[i] = _bareiss_step(row, prow, f, p, prev)
         pivots.append(c)
-        dr, di = pr, pi
-    return pivots, rows, (dr, di)
+        prev = p
+    return pivots, rows, prev
 
 
 # -- span canonicalization -------------------------------------------
@@ -724,7 +733,7 @@ def sparse_rref(rows: Iterable[SparseRow]) -> list[SparseRow]:
     above and below.  The result is a canonical basis of the row span:
     two spans are equal iff their sparse_rref lists are equal.
     """
-    scaled = [_integer_row(row) for row in rows]
+    scaled = [integer_row(row) for row in rows]
     width = 1 + max((j for row in scaled for j in row), default=-1)
     pivots, out, d = _fraction_free_rref(scaled, width)
     return [
@@ -733,16 +742,26 @@ def sparse_rref(rows: Iterable[SparseRow]) -> list[SparseRow]:
     ]
 
 
-def reduce_row(row: SparseRow, echelon: Sequence[tuple[int, SparseRow]]) -> SparseRow:
-    """Remainder of row after elimination against echelon rows."""
-    out = {c: v for c, v in row.items() if not v.is_zero()}
-    for piv, base in echelon:
-        if piv in out:
-            f = out[piv]
-            for c, v in base.items():
-                w = out.get(c, ZERO) - f * v
-                if w.is_zero():
-                    out.pop(c, None)
-                else:
-                    out[c] = w
-    return out
+def integer_basis(canon: Sequence[SparseRow]) -> tuple[int, dict[int, IntegerRow]]:
+    """(s, {pivot: s * row}) for the rows of a sparse_rref, with s > 0 the lcm
+    of all their denominators and the pivot a row's leading coordinate."""
+    scale = _denominator_lcm(canon)
+    return scale, {min(row): integer_row(row, scale) for row in canon}
+
+
+def reduce_row(row: IntegerRow, basis: dict[int, IntegerRow], scale: int) -> IntegerRow:
+    """Remainder s * x - sum_p x_p * basis[p] of x = row against integer_basis.
+
+    One pass over the pivots among x's coordinates suffices, since reduced
+    echelon rows vanish at each other's pivots: the remainder is s times x
+    minus its projection on the span, empty iff x lies in the span.
+    """
+    out = {j: (scale * xr, scale * xi) for j, (xr, xi) in row.items()}
+    for p, (fr, fi) in row.items():
+        base = basis.get(p)
+        if base is None:
+            continue
+        for j, (yr, yi) in base.items():
+            ar, ai = out.get(j, (0, 0))
+            out[j] = (ar - fr * yr + fi * yi, ai - fr * yi - fi * yr)
+    return {j: v for j, v in out.items() if v != (0, 0)}

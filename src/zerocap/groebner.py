@@ -501,10 +501,15 @@ def encode_rank_feasibility(
     raise ValueError(f"unknown encoding {encoding!r}")
 
 
+def factor_variable_count(n: int, k: int, m: int) -> int:
+    """Real variables of the factor encoding: re and im of the k x mn C and D."""
+    return 4 * k * m * n
+
+
 def _encode_factor(s: NcGraph, k: int, m: int) -> EncodedSystem:
     n = s.n
     width = m * n
-    nvars = 4 * k * width
+    nvars = factor_variable_count(n, k, m)
     names = []
     for which in ("C", "D"):
         for t in range(k):

@@ -23,13 +23,12 @@ import numpy as np
 
 from .exactlinalg import (
     ExactMatrix,
-    GaussianRational,
     ONE,
-    ZERO,
     format_scalar,
+    integer_row,
     require_int,
     parse_scalar,
-    rationalize,
+    rationalize_array,
 )
 from .graphs import Graph, independence_number
 from .ncgraph import NcGraph
@@ -63,12 +62,9 @@ class IndependentSystem:
 
     @staticmethod
     def standard_basis(n: int, indices) -> "IndependentSystem":
-        cols = []
-        for i in indices:
-            e = [ZERO] * n
-            e[i] = ONE
-            cols.append(ExactMatrix(n, 1, e))
-        return IndependentSystem(n, tuple(cols))
+        return IndependentSystem(
+            n, tuple(ExactMatrix.from_nonzeros(n, 1, {i: ONE}) for i in indices)
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -93,22 +89,30 @@ def verify_independent(s: NcGraph, sys_: IndependentSystem) -> bool:
     """Exact check of every bilinear condition <psi_i|A|psi_j> = 0.
 
     Raises ValueError on malformed input (zero vector, dimension mismatch);
-    returns False when some condition fails, True when all pass.
+    returns False when some condition fails, True when all pass.  Each sum
+    of conj(psi_i[r]) A[r, c] psi_j[c] runs in Z[i] over the entries of a
+    canonical row A and the vectors' nonzeros, all scaled into Z[i].
     """
     if sys_.n != s.n:
         raise ValueError(f"vectors live in C^{sys_.n} but the span is in M_{s.n}")
+    at: dict[int, list] = {}  # coordinate r -> [(i, psi_i[r])] for psi_i[r] != 0
     for idx, v in enumerate(sys_.vectors):
-        if all(v[i, 0].is_zero() for i in range(sys_.n)):
+        if v.is_zero():
             raise ValueError(f"vector {idx} is zero")
-    images = [[a @ v for v in sys_.vectors] for a in s.basis]
-    for per_basis in images:
-        for i, vi in enumerate(sys_.vectors):
-            bra = vi.H
-            for j, avj in enumerate(per_basis):
-                if i == j:
-                    continue
-                if not (bra @ avj)[0, 0].is_zero():
-                    return False
+        for r, x in integer_row(v.nonzeros()).items():
+            at.setdefault(r, []).append((idx, x))
+    for row in s.integer_rows.values():
+        sums: dict[tuple[int, int], tuple[int, int]] = {}
+        for k, (ar, ai) in row.items():
+            r, c = divmod(k, s.n)
+            for i, (ur, ui) in at.get(r, ()):
+                br, bi = ur * ar + ui * ai, ur * ai - ui * ar  # conj(psi_i[r]) * a
+                for j, (wr, wi) in at.get(c, ()):
+                    if i != j:
+                        sr, si = sums.get((i, j), (0, 0))
+                        sums[(i, j)] = (sr + br * wr - bi * wi, si + br * wi + bi * wr)
+        if any(v != (0, 0) for v in sums.values()):
+            return False
     return True
 
 
@@ -127,21 +131,13 @@ def axis_witness(s: NcGraph) -> Optional[IndependentSystem]:
     return witness if verify_independent(s, witness) else None
 
 
-def _rationalize_vector(
-    v: np.ndarray, cap: int
-) -> Optional[ExactMatrix]:
+def _rationalize_vector(v: np.ndarray, cap: int) -> Optional[ExactMatrix]:
     """Scale so the largest entry is exactly 1, then round entrywise."""
     idx = int(np.argmax(np.abs(v)))
     pivot = v[idx]
     if abs(pivot) < 1e-12:
         return None
-    w = v / pivot
-    entries = []
-    for z in w:
-        re = rationalize(float(z.real), cap)
-        im = rationalize(float(z.imag), cap)
-        entries.append(GaussianRational(re, im))
-    return ExactMatrix(len(entries), 1, entries)
+    return rationalize_array((v / pivot)[:, None], cap)
 
 
 def alpha_lower_search(

@@ -2,11 +2,13 @@
 
 A noncommutative graph here is any linear subspace S of the n x n complex
 matrices, held as the reduced row echelon basis of its row-major
-vectorization over Q(i).  That canonical form makes equality testing,
-membership, and the annihilator functionals (the linear conditions cutting
-out S) exact and deterministic.  Operator systems, i.e. self-adjoint
-subspaces containing the identity, are flagged but not required; functions
-downstream that assume the flags warn when they are absent.
+vectorization over Q(i), and as that basis scaled into the Gaussian
+integers Z[i] by one common scale, on which membership runs.  That
+canonical form makes equality testing, membership, and the annihilator
+functionals (the linear conditions cutting out S) exact and deterministic.
+Operator systems, i.e. self-adjoint subspaces containing the identity, are
+flagged but not required; functions downstream that assume the flags warn
+when they are absent.
 
 The graph case embeds as S_G = span{ |i><j| : i = j or ij an edge }, and
 channels enter through spans of Kraus products E_k^dag E_l.
@@ -21,9 +23,11 @@ from typing import Iterable, Optional, Sequence
 from .exactlinalg import (
     ExactMatrix,
     GaussianRational,
+    IntegerRow,
     ONE,
     SparseRow,
-    ZERO,
+    integer_basis,
+    integer_row,
     require_int,
     require_list,
     reduce_row,
@@ -32,14 +36,14 @@ from .exactlinalg import (
 from .graphs import Graph
 
 
-def _adjoint_row(row: SparseRow, n: int) -> SparseRow:
-    return {(k % n) * n + (k // n): v.conj() for k, v in row.items()}
+def _adjoint_row(row: IntegerRow, n: int) -> IntegerRow:
+    return {(k % n) * n + (k // n): (re, -im) for k, (re, im) in row.items()}
 
 
 class NcGraph:
     """Subspace of M_n with canonical echelon basis; immutable."""
 
-    __slots__ = ("n", "_rows", "_echelon", "_support", "_self_adjoint", "_has_identity")
+    __slots__ = ("n", "_rows", "_basis", "_support", "_self_adjoint", "_has_identity")
 
     def __init__(self, n: int, rows: Sequence[SparseRow]):
         if n < 1:
@@ -50,13 +54,16 @@ class NcGraph:
             if max(r) >= n * n:
                 raise ValueError("coordinate out of range for ambient dimension")
         self._rows = tuple(canon)
-        self._echelon = tuple((min(r), r) for r in self._rows)
+        self._basis = integer_basis(canon)
         self._support = frozenset().union(*self._rows)
-        identity_row = {i * n + i: ONE for i in range(n)}
-        self._has_identity = not reduce_row(identity_row, self._echelon)
+        self._has_identity = self._contains_row({i * n + i: (1, 0) for i in range(n)})
         self._self_adjoint = all(
-            not reduce_row(_adjoint_row(r, n), self._echelon) for r in self._rows
+            self._contains_row(_adjoint_row(r, n)) for r in self.integer_rows.values()
         )
+
+    def _contains_row(self, row: IntegerRow) -> bool:
+        """Whether the Z[i] row lies in the span."""
+        return not reduce_row(row, self.integer_rows, self._basis[0])
 
     # -- constructors ----------------------------------------------------
 
@@ -90,6 +97,11 @@ class NcGraph:
         return [ExactMatrix.from_nonzeros(self.n, self.n, r) for r in self._rows]
 
     @property
+    def integer_rows(self) -> dict[int, IntegerRow]:
+        """{pivot: row} of the canonical basis scaled into Z[i] by integer_basis."""
+        return self._basis[1]
+
+    @property
     def support(self) -> frozenset[int]:
         """Row-major coordinates where some element of the span is nonzero."""
         return self._support
@@ -109,9 +121,7 @@ class NcGraph:
         return self.dim == self.n * self.n
 
     def contains(self, a: ExactMatrix) -> bool:
-        if a.shape != (self.n, self.n):
-            return False
-        return not reduce_row(a.nonzeros(), self._echelon)
+        return a.shape == (self.n, self.n) and self._contains_row(integer_row(a.nonzeros()))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -126,9 +136,6 @@ class NcGraph:
     def __repr__(self) -> str:
         return f"NcGraph(n={self.n}, dim={self.dim})"
 
-    def equals(self, other: "NcGraph") -> bool:
-        return self == other
-
     # -- structure ---------------------------------------------------------
 
     def annihilator_rows(self) -> list[SparseRow]:
@@ -138,19 +145,12 @@ class NcGraph:
         basis row or determined by the pivots; each non-pivot coordinate c
         yields the functional X_c - sum_j basis_j[c] * X_{p_j}.
         """
-        pivots = [p for p, _ in self._echelon]
-        pivot_set = set(pivots)
-        out: list[SparseRow] = []
-        for c in range(self.n * self.n):
-            if c in pivot_set:
-                continue
-            row: SparseRow = {c: ONE}
-            for p, b in self._echelon:
-                v = b.get(c)
-                if v is not None:
-                    row[p] = -v
-            out.append(row)
-        return out
+        echelon = list(zip(self.integer_rows, self._rows))
+        return [
+            {c: ONE, **{p: -b[c] for p, b in echelon if c in b}}
+            for c in range(self.n * self.n)
+            if c not in self.integer_rows
+        ]
 
     def as_graph(self) -> Optional[Graph]:
         """The graph G with S = S_G, if this span is of that form.
@@ -179,9 +179,7 @@ class NcGraph:
 
 
 def matrix_unit(n: int, i: int, j: int) -> ExactMatrix:
-    e = [ZERO] * (n * n)
-    e[i * n + j] = ONE
-    return ExactMatrix(n, n, e)
+    return ExactMatrix.from_nonzeros(n, n, {i * n + j: ONE})
 
 
 def check_unitary(u: ExactMatrix) -> None:

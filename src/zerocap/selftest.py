@@ -37,6 +37,7 @@ from .certificates import (
     identity_certificate,
     independent_witness_kraus,
     lift_graph_certificate,
+    max_block_count,
     project_to_graph_certificate,
     random_certificate,
     tensor_certificate,
@@ -198,7 +199,7 @@ def check_small_system_values(seed: int = 0) -> CheckResult:
             chain_sys, chain_cert, summand, identity_certificate(1)
         )
         chain_sys = direct_sum_nc(chain_sys, summand)
-        if not chain_sys.equals(diagonal_system(n)):
+        if chain_sys != diagonal_system(n):
             problems.append(f"direct-sum chain at n={n} is not the diagonal span")
         upper = verify_certificate(diagonal_system(n), chain_cert)
         lower = haemers_lower(diagonal_system(n), seed=seed)
@@ -285,7 +286,7 @@ def _random_small_system(rng: random.Random) -> NcGraph:
 def _random_cert(
     s: NcGraph, rng: random.Random, np_rng: np.random.Generator, m_max: int
 ) -> HaemersCertificate:
-    return random_certificate(s, rng.randint(1, min(m_max, s.n**4)), np_rng)
+    return random_certificate(s, rng.randint(1, min(m_max, max_block_count(s.n))), np_rng)
 
 
 def check_product_and_sum_certificates(seed: int = 0) -> CheckResult:

@@ -120,7 +120,7 @@ def test_nc_build_from_graph(c5_file, tmp_path, capsys):
 def test_nc_build_from_basis_to_stdout(ci2_file, capsys):
     assert main(["nc", "build", "--from-basis", ci2_file]) == 0
     span = NcGraph.from_json_dict(json.loads(capsys.readouterr().out))
-    assert span.equals(scalar_identity_system(2))
+    assert span == scalar_identity_system(2)
 
 
 def test_nc_haemers_scalar_span(ci2_file, tmp_path, capsys):

@@ -3,10 +3,14 @@
 Oracles used here are independent of the implementation under test:
 rank is cross-checked against a minor-based oracle (largest r with a
 nonzero r x r subdeterminant, determinants by Laplace expansion),
-is_psd against the all-principal-minors criterion, and sparse_rref
-against a Gauss-Jordan loop over Q(i) (sparse_rref_reference).
+is_psd against the all-principal-minors criterion and the dense Schur
+complement loop over Q(i) that is_psd used to run (is_psd_reference),
+sparse_rref against a Gauss-Jordan loop over Q(i) (sparse_rref_reference),
+and reduce_row and NcGraph.contains against the Q(i) remainder that
+reduce_row used to compute (reduce_row_reference).
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -22,12 +26,16 @@ from zerocap.exactlinalg import (
     column_blocks,
     format_scalar,
     hstack,
+    integer_basis,
+    integer_row,
     parse_scalar,
     rank_factorization,
     rationalize,
     reduce_row,
     sparse_rref,
 )
+from zerocap.graphs import cycle_graph
+from zerocap.ncgraph import NcGraph, conjugate_by_unitary, tensor
 
 G = GaussianRational
 i_ = G(Fraction(0), Fraction(1))
@@ -428,6 +436,113 @@ def test_psd_schur_hits_zero_diagonal_midway():
     assert m.is_psd() and psd_oracle(m)
 
 
+def is_psd_reference(m: ExactMatrix, events=None) -> bool:
+    """The dense Schur-complement loop over Q(i) that is_psd used to run.
+
+    events, when given, collects "zero-row" and "zero-dropped" for the zero
+    diagonal entries met after the first pivot.
+    """
+    if not m.is_hermitian():
+        return False
+    idx = list(range(m.rows))
+    M = {(i, j): m[i, j] for i in idx for j in idx}
+    pivoted = False
+    while idx:
+        drop = []
+        for i in idx:
+            d = M[(i, i)]
+            if d.im != 0 or d.re < 0:
+                return False
+            if d.re == 0:
+                if any(not M[(i, j)].is_zero() for j in idx):
+                    if pivoted and events is not None:
+                        events.add("zero-row")
+                    return False
+                drop.append(i)
+        if drop:
+            if pivoted and events is not None:
+                events.add("zero-dropped")
+            idx = [i for i in idx if i not in drop]
+            continue
+        p = idx[0]
+        d = M[(p, p)]
+        rest = idx[1:]
+        for i in rest:
+            mip = M[(i, p)]
+            if mip.is_zero():
+                continue
+            for j in rest:
+                M[(i, j)] = M[(i, j)] - mip * M[(p, j)] / d
+        idx = rest
+        pivoted = True
+    return True
+
+
+def random_hermitian(rng):
+    """Sparse or dense, real or complex: a Gram matrix (PSD, rank-deficient
+    when it has fewer factor rows than columns), a Gram matrix with one
+    diagonal entry lowered or with one off-diagonal pair bumped (which
+    leaves a zero Schur diagonal entry next to a nonzero one when the Gram
+    matrix is singular), or B + B^H (mostly indefinite)."""
+    n = rng.randint(1, 6)
+    density = rng.choice([0.2, 0.5, 1.0])
+    real = rng.random() < 0.4
+
+    def entries(rows):
+        return [
+            [rand_scalar(rng, real) if rng.random() < density else ZERO for _ in range(n)]
+            for _ in range(rows)
+        ]
+
+    kind = rng.choice(["gram", "gram", "lowered", "bumped", "sum"])
+    if kind == "sum":
+        b = ExactMatrix.from_rows(entries(n))
+        return b + b.H
+    k = rng.randint(1, n)
+    a = ExactMatrix.from_rows(entries(k))
+    g = a.H @ a
+    if kind == "lowered":
+        j = rng.randrange(n)
+        cut = g[j, j] * as_scalar(rng.choice([Fraction(1, 2), 1, 1, 2]))
+        g = g - ExactMatrix.from_nonzeros(n, n, {j * n + j: cut})
+    if kind == "bumped" and n > 1:
+        a, b = rng.sample(range(n), 2)
+        z = rand_scalar(rng, real) or ONE
+        g = g + ExactMatrix.from_nonzeros(n, n, {a * n + b: z, b * n + a: z.conj()})
+    return g
+
+
+def test_psd_matches_the_schur_reference_and_the_minor_oracle():
+    rng = random.Random(20261019)
+    events = set()
+    outcomes = []
+    for _ in range(400):
+        m = random_hermitian(rng)
+        got = m.is_psd()
+        assert got == is_psd_reference(m, events)
+        if m.rows <= 4:
+            assert got == psd_oracle(m)
+        outcomes.append(got)
+    assert 100 < sum(outcomes) < 300  # both outcomes, many times
+    assert events == {"zero-row", "zero-dropped"}  # zero diagonals midway
+
+
+def test_psd_on_the_lifted_pentagon_square_factor():
+    from zerocap.certificates import constructed_certificate
+
+    c5 = NcGraph.from_graph(cycle_graph(5))
+    cert, method = constructed_certificate(tensor(c5, c5))
+    g = cert.C.H @ cert.C
+    assert method == "fitting-lift" and g.shape == (625, 625)
+    assert g.is_psd()
+    assert not (-g).is_psd()
+    # zero the diagonal entry of a row that holds more: a negative 2x2 minor
+    nz = g.nonzeros()
+    p = next(k // 625 for k in nz if k // 625 != k % 625)
+    del nz[p * 626]
+    assert not ExactMatrix.from_nonzeros(625, 625, nz).is_psd()
+
+
 # --- sparse echelon ---------------------------------------------------
 
 
@@ -449,19 +564,34 @@ def test_sparse_rref_canonical_for_equal_spans():
 
 
 def test_sparse_rref_reduce_membership():
-    basis = sparse_rref([{0: ONE, 1: ONE}, {2: ONE}])
-    ech = [(min(r), r) for r in basis]
-    inside = {0: as_scalar(2), 1: as_scalar(2), 2: i_}
-    outside = {0: ONE}
-    assert reduce_row(inside, ech) == {}
-    assert reduce_row(outside, ech) != {}
+    scale, basis = integer_basis(sparse_rref([{0: ONE, 1: ONE}, {2: ONE}]))
+    inside = integer_row({0: as_scalar(2), 1: as_scalar(2), 2: i_})
+    outside = integer_row({0: ONE})
+    assert reduce_row(inside, basis, scale) == {}
+    assert reduce_row(outside, basis, scale) != {}
+
+
+def reduce_row_reference(row, echelon):
+    """The Q(i) remainder that reduce_row used to compute: row eliminated
+    against the (pivot, row) pairs of a reduced echelon form, in order."""
+    out = {c: v for c, v in row.items() if not v.is_zero()}
+    for piv, base in echelon:
+        if piv in out:
+            f = out[piv]
+            for c, v in base.items():
+                w = out.get(c, ZERO) - f * v
+                if w.is_zero():
+                    out.pop(c, None)
+                else:
+                    out[c] = w
+    return out
 
 
 def sparse_rref_reference(rows):
     """The Gauss-Jordan loop over Q(i) that sparse_rref used to run itself."""
     echelon = []  # (pivot coord, row), sorted
     for row in rows:
-        row = reduce_row(row, echelon)
+        row = reduce_row_reference(row, echelon)
         if not row:
             continue
         piv = min(row)
@@ -640,3 +770,60 @@ def test_sparse_arithmetic_stores_no_zeros():
 def test_from_strings_rejections(data):
     with pytest.raises(ValueError):
         ExactMatrix.from_strings(data)
+
+
+# --- span membership against the Q(i) remainder -------------------------
+
+
+def random_unitary(rng, n):
+    """A product of rotations [[3/5, 4i/5], [4i/5, 3/5]] on random coordinate
+    pairs and a diagonal of powers of i: exact, complex and dense."""
+    u = ExactMatrix.from_nonzeros(
+        n, n, {j * n + j: [ONE, i_, -ONE, -i_][rng.randrange(4)] for j in range(n)}
+    )
+    for _ in range(2 * n):
+        if n < 2:
+            break
+        a, b = rng.sample(range(n), 2)
+        r = {j * n + j: ONE for j in range(n) if j not in (a, b)}
+        r[a * n + a] = r[b * n + b] = as_scalar(Fraction(3, 5))
+        r[a * n + b] = r[b * n + a] = G(Fraction(0), Fraction(4, 5))
+        u = u @ ExactMatrix.from_nonzeros(n, n, r)
+    return u
+
+
+def test_membership_matches_the_q_i_remainder():
+    rng = random.Random(1519)
+    members = outsiders = conjugated = 0
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        gens = [
+            ExactMatrix.from_rows(zero_heavy(rng, n, n) if rng.random() < 0.5
+                                  else [[rand_scalar(rng) for _ in range(n)] for _ in range(n)])
+            for _ in range(rng.randint(0, n * n))
+        ]
+        s = NcGraph.span_from_generators(n, gens)
+        if rng.random() < 0.5:
+            s = conjugate_by_unitary(s, random_unitary(rng, n))
+            conjugated += 1
+        canon = [b.nonzeros() for b in s.basis]
+        echelon = [(min(r), r) for r in canon]
+        scale, basis = integer_basis(canon)
+        assert basis == s.integer_rows
+        probes = [rand_matrix(rng, n, n), ExactMatrix.zeros(n, n)]
+        for _ in range(2):
+            combo = ExactMatrix.zeros(n, n)
+            for b in s.basis:
+                combo = combo + b.scale(rand_scalar(rng))
+            probes.append(combo)
+        for x in probes:
+            nz = x.nonzeros()
+            want = reduce_row_reference(nz, echelon)
+            got = reduce_row(integer_row(nz), basis, scale)
+            # the Z[i] remainder is s * t times the Q(i) one, t the scale of x
+            t = math.lcm(*(d for v in nz.values() for d in (v.re.denominator, v.im.denominator)))
+            assert got == {c: (v.re * scale * t, v.im * scale * t) for c, v in want.items()}
+            assert s.contains(x) == (not want)
+            members += not want
+            outsiders += bool(want)
+    assert members > 200 and outsiders > 50 and conjugated > 50

@@ -1,9 +1,11 @@
 """Independent systems: exact verification, graph reduction, numeric search."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
-from zerocap.exactlinalg import ExactMatrix
-import random
+from zerocap.exactlinalg import ExactMatrix, GaussianRational, ONE
 
 from zerocap.graphs import cycle_graph, independence_number, random_graph
 from zerocap.independence import (
@@ -79,6 +81,81 @@ def test_dimension_mismatch_raises():
         )
     with pytest.raises(ValueError):
         IndependentSystem(3, (ExactMatrix.from_strings([["1"], ["0"]]),))
+
+
+def verify_by_products(s, sys_):
+    """The product loop verify_independent used to run: every basis matrix
+    times every vector, then every bra against every other vector's image."""
+    for a in s.basis:
+        images = [a @ v for v in sys_.vectors]
+        for i, vi in enumerate(sys_.vectors):
+            bra = vi.H
+            for j, avj in enumerate(images):
+                if i != j and not (bra @ avj)[0, 0].is_zero():
+                    return False
+    return True
+
+
+def _complex_rotation(rng, n):
+    """A product of rotations [[3/5, 4i/5], [4i/5, 3/5]] on random coordinate
+    pairs: an exact unitary that makes graph spans dense."""
+    u = ExactMatrix.identity(n)
+    for _ in range(2 * n):
+        a, b = rng.sample(range(n), 2)
+        r = {j * n + j: ONE for j in range(n) if j not in (a, b)}
+        r[a * n + a] = r[b * n + b] = GaussianRational(Fraction(3, 5))
+        r[a * n + b] = r[b * n + a] = GaussianRational(Fraction(0), Fraction(4, 5))
+        u = u @ ExactMatrix.from_nonzeros(n, n, r)
+    return u
+
+
+def _random_scalar(rng):
+    return GaussianRational(
+        Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+        Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+    ) or ONE
+
+
+def test_verify_independent_matches_the_product_loop():
+    # graph spans, the same spans conjugated by a dense unitary U (where the
+    # vectors U^H e_i of an independent set stay independent) and spans of
+    # random generators, against axis, mapped, scaled and random systems
+    rng = random.Random(1520)
+    answers = {"graph": [], "conjugated": [], "random": []}
+    for _ in range(240):
+        n = rng.randint(2, 4)
+        g = random_graph(n, rng.random(), rng)
+        _size, independent = independence_number(g)
+        picks = list(independent) if rng.random() < 0.5 else rng.sample(
+            range(n), rng.randint(2, n))
+        kind = rng.choice(list(answers))
+        if kind == "graph":
+            s = NcGraph.from_graph(g)
+            vecs = IndependentSystem.standard_basis(n, picks).vectors
+        elif kind == "conjugated":
+            u = _complex_rotation(rng, n)
+            s = conjugate_by_unitary(NcGraph.from_graph(g), u)
+            uh = u.H
+            vecs = [uh.submatrix(range(n), [i]) for i in picks]
+        else:
+            s = NcGraph.span_from_generators(n, [
+                ExactMatrix.from_nonzeros(n, n, {
+                    rng.randrange(n * n): _random_scalar(rng) for _ in range(rng.randint(1, 3))
+                })
+                for _ in range(rng.randint(1, n))
+            ])
+            vecs = [
+                ExactMatrix.from_nonzeros(n, 1, {
+                    rng.randrange(n): _random_scalar(rng) for _ in range(rng.randint(1, 2))
+                })
+                for _ in picks
+            ]
+        sys_ = IndependentSystem(n, tuple(v.scale(_random_scalar(rng)) for v in vecs))
+        got = verify_independent(s, sys_)
+        assert got == verify_by_products(s, sys_)
+        answers[kind].append(got)
+    for kind, got in answers.items():
+        assert 15 < sum(got) < len(got) - 15, kind  # both outcomes on every kind
 
 
 # -- axis witness ---------------------------------------------------------

@@ -56,7 +56,7 @@ def test_equals_under_generator_shuffle_and_scaling():
     b = ExactMatrix.from_rows([[0, 1], [1, 0]])
     s1 = NcGraph.span_from_generators(2, [a, b])
     s2 = NcGraph.span_from_generators(2, [b.scale(3), a + b, a.scale(i_)])
-    assert s1.equals(s2)
+    assert s1 == s2
     assert s1.dim == 2
 
 
