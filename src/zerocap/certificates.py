@@ -854,15 +854,12 @@ def _polish_factor(
     return cert
 
 
-def block_count_schedule(
-    n: int, m_schedule: Optional[Sequence[int]] = None, m_cap: Optional[int] = None
-) -> list[int]:
+def block_count_schedule(n: int, m_schedule: Optional[Sequence[int]] = None) -> list[int]:
     """Block counts to search in M_n, ascending: m_schedule (default 1, 2, n,
-    n^2) cut to [1, min(m_cap, n^4)]; ValueError when none is left."""
-    cap = max_block_count(n) if m_cap is None else min(m_cap, max_block_count(n))
+    n^2) cut to [1, n^4]; ValueError when none is left."""
     if m_schedule is None:
         m_schedule = [1, 2, n, n * n]
-    schedule = sorted({m for m in m_schedule if 1 <= m <= cap})
+    schedule = sorted({m for m in m_schedule if 1 <= m <= max_block_count(n)})
     if not schedule:
         raise ValueError("empty block-count schedule after applying the cap")
     return schedule

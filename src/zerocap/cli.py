@@ -12,8 +12,8 @@ Subcommands:
 Every command takes ``--json`` for machine-readable output, ``--seed``
 (a non-negative integer, default 0) so searches are reproducible on one
 numpy/BLAS build and CPU (not across them), and ``--config FILE`` pointing
-at a key=value file for the caps (graph-n-cap, sdp-tol, groebner-budget,
-m-cap).  graph-n-cap is the vertex cap of the exact independence number in
+at a key=value file for the caps (graph-n-cap, sdp-tol, groebner-budget).
+graph-n-cap is the vertex cap of the exact independence number in
 ``graph alpha`` and ``graph report``; the latter takes alpha of the strong
 square only when n^2 fits under it.  ``selftest paper`` also takes
 ``--jobs``, the one place the CLI fans work out.  Usage problems exit 2; a failed verification exits 1 with a
@@ -95,7 +95,6 @@ class CliConfig:
     graph_n_cap: int = DEFAULT_VERTEX_CAP
     sdp_tol: float = DEFAULT_TOL
     groebner_budget: float = 60.0
-    m_cap: Optional[int] = None
 
 
 def _load_config(path: Optional[str]) -> CliConfig:
@@ -116,8 +115,6 @@ def _load_config(path: Optional[str]) -> CliConfig:
             cfg.sdp_tol = float(value)
         elif key == "groebner-budget":
             cfg.groebner_budget = float(value)
-        elif key == "m-cap":
-            cfg.m_cap = int(value)
         else:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
     return cfg
@@ -295,7 +292,7 @@ def _cmd_nc_haemers(args: argparse.Namespace, cfg: CliConfig) -> int:
     if args.k_max is not None and args.k_max < 1:
         raise ValueError(f"--k-max must be positive, got {args.k_max}")
     s = _load_ncgraph(args.file)
-    schedule = block_count_schedule(s.n, _parse_schedule(args.m_schedule), cfg.m_cap)
+    schedule = block_count_schedule(s.n, _parse_schedule(args.m_schedule))
     lower = haemers_lower(s, seed=args.seed)
     k_max = args.k_max if args.k_max is not None else s.n
     # construct first; the search can only help below the constructed rank
@@ -505,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--config",
         metavar="FILE",
-        help="key=value file: graph-n-cap, sdp-tol, groebner-budget, m-cap",
+        help="key=value file: graph-n-cap, sdp-tol, groebner-budget",
     )
 
     parser = argparse.ArgumentParser(

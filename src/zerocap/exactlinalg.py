@@ -6,9 +6,9 @@ rank factorization and the canonical basis of a span of matrices, which
 share one fraction-free Gauss-Jordan kernel on sparse rows over the
 Gaussian integers Z[i]; a positive semidefiniteness test that runs the
 kernel's row step with diagonal pivots; and span membership, a one-pass
-remainder against the canonical basis scaled into Z[i].  No elimination
-does Q(i) arithmetic.  Scalars are pairs of ``fractions.Fraction`` so
-there is no precision cap and no rounding, ever.
+remainder against the canonical basis, which is held in Z[i] only (one
+scale times the echelon rows).  No elimination does Q(i) arithmetic.
+Scalars are pairs of ``fractions.Fraction``: no precision cap, no rounding.
 
 Floating point enters the package only in heuristic searches and the SDP
 solver; results coming from there are always re-checked here before being
@@ -620,16 +620,10 @@ IntegerRow = dict[int, GaussianInt]
 SparseRow = dict[int, GaussianRational]
 
 
-def _denominator_lcm(rows: Iterable[SparseRow]) -> int:
-    return math.lcm(*(d for row in rows for x in row.values()
-                      for d in (x.re.denominator, x.im.denominator)))
-
-
-def integer_row(row: SparseRow, scale: int = 0) -> IntegerRow:
-    """scale * row in Z[i], zeros dropped; scale is a multiple of the lcm of
-    row's denominators, by default that lcm."""
+def integer_row(row: SparseRow) -> IntegerRow:
+    """row scaled into Z[i] by the lcm of its denominators, zeros dropped."""
     row = {j: x for j, x in row.items() if not x.is_zero()}
-    scale = scale or _denominator_lcm([row])
+    scale = math.lcm(*(d for x in row.values() for d in (x.re.denominator, x.im.denominator)))
     return {
         j: (x.re.numerator * (scale // x.re.denominator),
             x.im.numerator * (scale // x.im.denominator))
@@ -726,31 +720,32 @@ def _fraction_free_rref(
 # {coordinate: value}, so matrix-unit-heavy spans stay cheap.
 
 
-def sparse_rref(rows: Iterable[SparseRow]) -> list[SparseRow]:
-    """Reduced row echelon form of a list of sparse rows, zero rows dropped.
+def sparse_rref(rows: Iterable[SparseRow]) -> tuple[int, dict[int, IntegerRow]]:
+    """Canonical basis of the span of sparse rows, held in Z[i].
 
-    Pivots are leading (smallest) coordinates, normalized to 1, eliminated
-    above and below.  The result is a canonical basis of the row span:
-    two spans are equal iff their sparse_rref lists are equal.
+    The rows of the reduced row echelon form (pivots at leading coordinates,
+    normalized to 1, eliminated above and below; zero rows dropped) come
+    back as (s, {pivot: s * row}), with s > 0 the lcm of all their
+    denominators.  Two spans are equal iff their sparse_rref pairs are equal.
     """
     scaled = [integer_row(row) for row in rows]
     width = 1 + max((j for row in scaled for j in row), default=-1)
-    pivots, out, d = _fraction_free_rref(scaled, width)
-    return [
-        {j: _divide(v, d) for j, v in sorted(row.items())}
+    pivots, out, (dr, di) = _fraction_free_rref(scaled, width)
+    # row / d is row * conj(d) / |d|^2; then cancel the common gcd
+    prods = [
+        {j: (ar * dr + ai * di, ai * dr - ar * di) for j, (ar, ai) in sorted(row.items())}
         for row in out[: len(pivots)]
     ]
-
-
-def integer_basis(canon: Sequence[SparseRow]) -> tuple[int, dict[int, IntegerRow]]:
-    """(s, {pivot: s * row}) for the rows of a sparse_rref, with s > 0 the lcm
-    of all their denominators and the pivot a row's leading coordinate."""
-    scale = _denominator_lcm(canon)
-    return scale, {min(row): integer_row(row, scale) for row in canon}
+    norm = dr * dr + di * di
+    g = math.gcd(norm, *(x for row in prods for v in row.values() for x in v))
+    return norm // g, {
+        p: {j: (xr // g, xi // g) for j, (xr, xi) in row.items()}
+        for p, row in zip(pivots, prods)
+    }
 
 
 def reduce_row(row: IntegerRow, basis: dict[int, IntegerRow], scale: int) -> IntegerRow:
-    """Remainder s * x - sum_p x_p * basis[p] of x = row against integer_basis.
+    """Remainder s * x - sum_p x_p * basis[p] of x = row against sparse_rref.
 
     One pass over the pivots among x's coordinates suffices, since reduced
     echelon rows vanish at each other's pivots: the remainder is s times x

@@ -1,11 +1,11 @@
 """Noncommutative graphs: subspaces of M_n stored with a canonical basis.
 
 A noncommutative graph here is any linear subspace S of the n x n complex
-matrices, held as the reduced row echelon basis of its row-major
-vectorization over Q(i), and as that basis scaled into the Gaussian
-integers Z[i] by one common scale, on which membership runs.  That
-canonical form makes equality testing, membership, and the annihilator
-functionals (the linear conditions cutting out S) exact and deterministic.
+matrices, held once, in the Gaussian integers Z[i]: the reduced row echelon
+basis of its row-major vectorization times the lcm s of its denominators.
+Equality, support, membership and graph detection read that canonical form
+directly, and the basis matrices and annihilator functionals (the linear
+conditions cutting out S) divide by s on demand, all exact and deterministic.
 Operator systems, i.e. self-adjoint subspaces containing the identity, are
 flagged but not required; functions downstream that assume the flags warn
 when they are absent.
@@ -26,7 +26,7 @@ from .exactlinalg import (
     IntegerRow,
     ONE,
     SparseRow,
-    integer_basis,
+    _divide,
     integer_row,
     require_int,
     require_list,
@@ -43,27 +43,24 @@ def _adjoint_row(row: IntegerRow, n: int) -> IntegerRow:
 class NcGraph:
     """Subspace of M_n with canonical echelon basis; immutable."""
 
-    __slots__ = ("n", "_rows", "_basis", "_support", "_self_adjoint", "_has_identity")
+    __slots__ = ("n", "_scale", "_rows", "_support", "_self_adjoint", "_has_identity")
 
     def __init__(self, n: int, rows: Sequence[SparseRow]):
         if n < 1:
             raise ValueError("ambient dimension must be >= 1")
         self.n = n
-        canon = sparse_rref(rows)
-        for r in canon:
-            if max(r) >= n * n:
-                raise ValueError("coordinate out of range for ambient dimension")
-        self._rows = tuple(canon)
-        self._basis = integer_basis(canon)
-        self._support = frozenset().union(*self._rows)
+        self._scale, self._rows = sparse_rref(rows)
+        self._support = frozenset().union(*self._rows.values())
+        if max(self._support, default=0) >= n * n:
+            raise ValueError("coordinate out of range for ambient dimension")
         self._has_identity = self._contains_row({i * n + i: (1, 0) for i in range(n)})
         self._self_adjoint = all(
-            self._contains_row(_adjoint_row(r, n)) for r in self.integer_rows.values()
+            self._contains_row(_adjoint_row(r, n)) for r in self._rows.values()
         )
 
     def _contains_row(self, row: IntegerRow) -> bool:
         """Whether the Z[i] row lies in the span."""
-        return not reduce_row(row, self.integer_rows, self._basis[0])
+        return not reduce_row(row, self._rows, self._scale)
 
     # -- constructors ----------------------------------------------------
 
@@ -94,12 +91,16 @@ class NcGraph:
     @property
     def basis(self) -> list[ExactMatrix]:
         """Canonical basis as matrices."""
-        return [ExactMatrix.from_nonzeros(self.n, self.n, r) for r in self._rows]
+        n, scale = self.n, (self._scale, 0)
+        return [
+            ExactMatrix.from_nonzeros(n, n, {j: _divide(v, scale) for j, v in r.items()})
+            for r in self._rows.values()
+        ]
 
     @property
     def integer_rows(self) -> dict[int, IntegerRow]:
-        """{pivot: row} of the canonical basis scaled into Z[i] by integer_basis."""
-        return self._basis[1]
+        """{pivot: row} of the canonical basis in Z[i], as sparse_rref gives it."""
+        return self._rows
 
     @property
     def support(self) -> frozenset[int]:
@@ -131,7 +132,7 @@ class NcGraph:
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, tuple(tuple(sorted(r.items())) for r in self._rows)))
+        return hash((self.n, tuple(tuple(sorted(r.items())) for r in self._rows.values())))
 
     def __repr__(self) -> str:
         return f"NcGraph(n={self.n}, dim={self.dim})"
@@ -145,11 +146,11 @@ class NcGraph:
         basis row or determined by the pivots; each non-pivot coordinate c
         yields the functional X_c - sum_j basis_j[c] * X_{p_j}.
         """
-        echelon = list(zip(self.integer_rows, self._rows))
+        scale = (self._scale, 0)
         return [
-            {c: ONE, **{p: -b[c] for p, b in echelon if c in b}}
+            {c: ONE, **{p: -_divide(b[c], scale) for p, b in self._rows.items() if c in b}}
             for c in range(self.n * self.n)
-            if c not in self.integer_rows
+            if c not in self._rows
         ]
 
     def as_graph(self) -> Optional[Graph]:

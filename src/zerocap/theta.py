@@ -8,12 +8,13 @@ F_eta(t, y) = eta*t - logdet Z with damped Newton steps; on the path the
 duality gap is exactly n/eta, so pushing eta to ~n/tol brackets theta to
 the requested tolerance.
 
-The returned witness is a matrix T with zero diagonal and zero entries on
-edges such that I + T is PSD and ||I + T|| is within tolerance of theta,
-i.e. a feasible point of the spectral-norm formulation.  It is built from
-the primal central point X ~ Z^{-1} by the scaling B_ij = X_ij /
-sqrt(X_ii X_jj): with s = sqrt(diag X), s^T B s = <J, X> and |s| = 1, so
-lambda_max(B) reaches theta at optimality.
+The returned witness is a float matrix T with zero diagonal and zero
+entries on edges, built from the primal central point X ~ Z^{-1} by the
+scaling B_ij = X_ij / sqrt(X_ii X_jj), B = I + T: with s = sqrt(diag X),
+s^T B s = <J, X> and |s| = 1, so lambda_max(B) reaches theta at optimality.
+A finished solve stops short of that: on a random G(40, 1/2) at the
+default tol, lambda_min(I + T) is about -2e-6 and lambda_max(I + T) a few
+1e-6 below lower_bound.  Only the bracket is a bound.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ class SdpSolution:
     value is the theta estimate; lower_bound/upper_bound bracket the true
     value (up to floating point), duality_gap = upper - lower.  When
     converged is False the brackets are still valid but wider than tol.
+    witness is T of the module docstring, near-feasible, not a bound.
     """
 
     value: float
@@ -62,7 +64,7 @@ def _logdet(z: np.ndarray) -> float:
 def lovasz_theta(
     g: Graph, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> SdpSolution:
-    """Compute theta(g) to within tol, with a feasible spectral witness.
+    """Compute theta(g) to within tol, with a near-feasible spectral witness.
 
     Never raises on slow convergence: if the Newton iteration budget runs
     out, the result has converged=False and carries the best bound pair

@@ -9,19 +9,32 @@ import pytest
 
 from zerocap.certificates import (
     HaemersCertificate,
+    conjugate_certificate,
+    direct_sum_certificate,
+    full_matrix_certificate,
     haemers_upper_search,
     identity_certificate,
+    independent_witness_kraus,
+    lift_graph_certificate,
     to_tp_map,
     verify_certificate,
 )
-from zerocap.classical import FittingMatrix, verify_fitting
+from zerocap.classical import (
+    FittingMatrix,
+    gram_fitting_matrix,
+    pentagon_representation,
+    unit_diagonal_form,
+    verify_fitting,
+)
 from zerocap.cli import main
 from zerocap.graphs import Graph, cycle_graph
 import zerocap.cli as cli_module
 from zerocap.exactlinalg import ExactMatrix
+from zerocap.independence import IndependentSystem
 from zerocap.ncgraph import (
     NcGraph,
     QuantumChannel,
+    conjugate_by_unitary,
     corner_family,
     diagonal_system,
     direct_sum_nc,
@@ -243,6 +256,49 @@ def test_nc_haemers_exact_tiny_refutes_rank_one(ci2_file, tmp_path, capsys):
     assert payload["upper"]["method"] == "identity"
 
 
+def test_nc_haemers_exact_tiny_skips_a_system_with_too_many_variables(
+    c5_file, tmp_path, capsys
+):
+    span = tmp_path / "sc5.json"
+    assert main(["nc", "build", "--from-graph", c5_file, "-o", str(span)]) == 0
+    capsys.readouterr()
+    assert main(["nc", "haemers", str(span), "--m-schedule", "1,2", "--exact-tiny",
+                 "--k-max", "1", "--cert-out", str(tmp_path / "cert.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "exact: rank 1: m=1: infeasible, m=2: skipped (too many variables)" in lines
+
+
+def test_nc_haemers_takes_the_search_certificate_below_the_constructed_rank(
+    tmp_path, capsys, monkeypatch
+):
+    # rot(M_2 + C): the direct sum turned by a rational rotation, whose
+    # constructed certificate is the identity (rank 3)
+    u = ExactMatrix.from_rows(
+        [[1, 0, 0], [0, Fraction(3, 5), Fraction(4, 5)], [0, Fraction(-4, 5), Fraction(3, 5)]]
+    )
+    full, one = full_matrix_system(2), scalar_identity_system(1)
+    base = direct_sum_nc(full, one)
+    found = conjugate_certificate(
+        base,
+        direct_sum_certificate(full, full_matrix_certificate(2), one, identity_certificate(1)),
+        u,
+    )
+    calls = []
+
+    def stub(s, k, **kwargs):
+        calls.append(k)
+        return found
+
+    monkeypatch.setattr(cli_module, "haemers_upper_search", stub)
+    span = _write_span(tmp_path, "rot.json", conjugate_by_unitary(base, u))
+    lower, upper, cert_out = _nc_haemers_json(span, tmp_path, capsys, "--m-schedule", "1,2")
+    assert calls == [2]
+    assert [lower, upper["rank"]] == [2, 2]
+    assert (upper["method"], upper["m"]) == ("search", 2)
+    assert main(["nc", "verify-cert", span, str(cert_out)]) == 0
+    assert "rank 2, OK" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("budget", ["0", "-1"])
 def test_nc_haemers_rejects_a_budget_below_one(budget, tmp_path, capsys, monkeypatch):
     calls = _record_search(monkeypatch)
@@ -449,6 +505,45 @@ def test_transform_dsum_and_tensor(tmp_path, capsys):
     assert "rank 6, OK" in capsys.readouterr().out
 
 
+def test_transform_conjugate_writes_a_verifiable_span(tmp_path, capsys):
+    s = NcGraph.from_graph(cycle_graph(5))
+    span = _write_span(tmp_path, "sc5.json", s)
+    fm = unit_diagonal_form(gram_fitting_matrix(cycle_graph(5), pentagon_representation()))
+    cert = _write_cert(tmp_path, "c5.json", lift_graph_certificate(fm))
+    perm = [1, 3, 0, 2, 4]
+    u = _write_json(tmp_path, "u.json", [["1" if perm[i] == j else "0" for j in range(5)]
+                                         for i in range(5)])
+    out, sys_out = tmp_path / "conj.json", tmp_path / "conj-span.json"
+    assert main(["nc", "transform", "conjugate", span, cert, u,
+                 "-o", str(out), "--system-out", str(sys_out)]) == 0
+    capsys.readouterr()
+    assert NcGraph.from_json_dict(json.loads(sys_out.read_text())) != s
+    assert main(["nc", "verify-cert", str(sys_out), str(out)]) == 0
+    assert "rank 3, OK" in capsys.readouterr().out
+
+
+def test_transform_cohom_pulls_a_certificate_back(tmp_path, capsys):
+    kraus = independent_witness_kraus(IndependentSystem.standard_basis(5, [0, 2]))
+    channel = _write_json(tmp_path, "ch.json", QuantumChannel(2, 5, tuple(kraus)).to_json_dict())
+    target = _write_span(tmp_path, "sc5.json", NcGraph.from_graph(cycle_graph(5)))
+    source = _write_span(tmp_path, "d2.json", diagonal_system(2))
+    cert = _write_cert(tmp_path, "id5.json", identity_certificate(5))
+    out = tmp_path / "pulled.json"
+    assert main(["nc", "transform", "cohom", cert, "--source", source, "--target", target,
+                 "--kraus", channel, "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["nc", "verify-cert", source, str(out)]) == 0
+    assert "rank 2, OK" in capsys.readouterr().out
+
+    wrong = _write_span(tmp_path, "d3.json", diagonal_system(3))
+    out3 = tmp_path / "pulled3.json"
+    assert main(["nc", "transform", "cohom", cert, "--source", wrong, "--target", target,
+                 "--kraus", channel, "-o", str(out3)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out3.exists()
+
+
 def test_transform_lift_project_round_trip(c5_file, tmp_path, capsys):
     cert_dir = tmp_path / "certs"
     assert main(["graph", "report", c5_file, "--cert-dir", str(cert_dir)]) == 0
@@ -564,8 +659,9 @@ def test_nc_haemers_above_the_vertex_cap_keeps_the_subspace_bound(tmp_path, caps
 
 def test_config_unknown_key_exits_2(c5_file, tmp_path, capsys):
     cfg = tmp_path / "caps.cfg"
-    cfg.write_text("not-a-cap = 1\n")
-    assert main(["graph", "alpha", c5_file, "--config", str(cfg)]) == 2
+    for line in ("not-a-cap = 1", "m-cap = 4"):
+        cfg.write_text(line + "\n")
+        assert main(["graph", "alpha", c5_file, "--config", str(cfg)]) == 2
 
 
 def test_selftest_single_check(capsys):

@@ -5,7 +5,8 @@ rank is cross-checked against a minor-based oracle (largest r with a
 nonzero r x r subdeterminant, determinants by Laplace expansion),
 is_psd against the all-principal-minors criterion and the dense Schur
 complement loop over Q(i) that is_psd used to run (is_psd_reference),
-sparse_rref against a Gauss-Jordan loop over Q(i) (sparse_rref_reference),
+sparse_rref against a Gauss-Jordan loop over Q(i) (sparse_rref_reference)
+scaled into Z[i] by the lcm of its denominators (integer_basis_reference),
 and reduce_row and NcGraph.contains against the Q(i) remainder that
 reduce_row used to compute (reduce_row_reference).
 """
@@ -26,7 +27,6 @@ from zerocap.exactlinalg import (
     column_blocks,
     format_scalar,
     hstack,
-    integer_basis,
     integer_row,
     parse_scalar,
     rank_factorization,
@@ -564,7 +564,7 @@ def test_sparse_rref_canonical_for_equal_spans():
 
 
 def test_sparse_rref_reduce_membership():
-    scale, basis = integer_basis(sparse_rref([{0: ONE, 1: ONE}, {2: ONE}]))
+    scale, basis = sparse_rref([{0: ONE, 1: ONE}, {2: ONE}])
     inside = integer_row({0: as_scalar(2), 1: as_scalar(2), 2: i_})
     outside = integer_row({0: ONE})
     assert reduce_row(inside, basis, scale) == {}
@@ -613,6 +613,18 @@ def sparse_rref_reference(rows):
     return [r for _, r in echelon]
 
 
+def integer_basis_reference(canon):
+    """(s, {pivot: s * row}) for the rows of sparse_rref_reference, with s > 0
+    the lcm of all their denominators and the pivot a row's leading coordinate."""
+    scale = math.lcm(*(d for row in canon for x in row.values()
+                       for d in (x.re.denominator, x.im.denominator)))
+    return scale, {
+        min(row): {j: ((x.re * scale).numerator, (x.im * scale).numerator)
+                   for j, x in row.items()}
+        for row in canon
+    }
+
+
 def random_span_rows(rng):
     """Generators of a random span: zero-heavy or dense, complex-rational,
     with dependent, repeated and all-zero generators mixed in."""
@@ -645,9 +657,9 @@ def test_sparse_rref_matches_the_q_i_reference():
         rows = random_span_rows(rng)
         before = [dict(row) for row in rows]
         got = sparse_rref(rows)
-        assert got == sparse_rref_reference(rows)
+        assert got == integer_basis_reference(sparse_rref_reference(rows))
         assert rows == before  # the generators are not modified
-        seen_ranks.add(len(got))
+        seen_ranks.add(len(got[1]))
     assert seen_ranks >= set(range(7))
 
 
@@ -808,7 +820,7 @@ def test_membership_matches_the_q_i_remainder():
             conjugated += 1
         canon = [b.nonzeros() for b in s.basis]
         echelon = [(min(r), r) for r in canon]
-        scale, basis = integer_basis(canon)
+        scale, basis = integer_basis_reference(canon)
         assert basis == s.integer_rows
         probes = [rand_matrix(rng, n, n), ExactMatrix.zeros(n, n)]
         for _ in range(2):

@@ -57,6 +57,8 @@ def test_equals_under_generator_shuffle_and_scaling():
     s1 = NcGraph.span_from_generators(2, [a, b])
     s2 = NcGraph.span_from_generators(2, [b.scale(3), a + b, a.scale(i_)])
     assert s1 == s2
+    assert hash(s1) == hash(s2)
+    assert len({s1, s2}) == 1
     assert s1.dim == 2
 
 
