@@ -38,12 +38,11 @@ from .classical import (
 from .graphs import DEFAULT_VERTEX_CAP
 from .exactlinalg import (
     ExactMatrix,
+    GaussianInt,
     GaussianRational,
     ONE,
-    ZERO,
     column_blocks,
     hstack,
-    integer_row,
     require_int,
     require_list,
     rank_factorization,
@@ -58,7 +57,7 @@ from .groebner import (
     factor_variable_count,
 )
 from .independence import IndependentSystem, alpha_lower_search, axis_witness, verify_independent
-from .ncgraph import NcGraph, check_unitary, conjugate_by_unitary
+from .ncgraph import NcGraph, conjugate_by_unitary
 from .ncgraph import direct_sum_nc as _direct_sum_span
 from .ncgraph import tensor as _tensor_span
 
@@ -339,9 +338,7 @@ def random_certificate(
     total = ExactMatrix.zeros(n, n)
     for i in range(m):
         total = total + blocks[i][i]
-    excess = (total - ExactMatrix.identity(n)).scale(
-        GaussianRational(Fraction(1, m))
-    )
+    excess = (total - ExactMatrix.identity(n)).scale(Fraction(1, m))
     for i in range(m):
         blocks[i][i] = blocks[i][i] - excess
 
@@ -371,14 +368,9 @@ def lift_graph_certificate(fm: FittingMatrix) -> HaemersCertificate:
     verify_fitting(fm)
     n = fm.graph.n
     p_fac, q_fac = rank_factorization(unit_diagonal_form(fm).b)
-    r, nn = q_fac.rows, n * n
-    # in each factor, block i of row t holds one entry, in column i
-    c = {t * nn + i * n + i: p_fac[i, t].conj() for t in range(r) for i in range(n)}
-    d = {t * nn + i * n + i: q_fac[t, i] for t in range(r) for i in range(n)}
-    return HaemersCertificate(
-        n=n, m=n, k=r, C=ExactMatrix.from_nonzeros(r, nn, c),
-        D=ExactMatrix.from_nonzeros(r, nn, d),
-    )
+    # e moves entry i of a row to column i of block i
+    e = ExactMatrix.from_numerators(n, n * n, {i * (n * n + n + 1): (1, 0) for i in range(n)})
+    return HaemersCertificate(n=n, m=n, k=q_fac.rows, C=p_fac.H @ e, D=q_fac @ e)
 
 
 def constructed_certificate(s: NcGraph) -> tuple[HaemersCertificate, str]:
@@ -512,14 +504,14 @@ def conjugate_certificate(
     B' = (I_m x U)^dag B (I_m x U) certifies the conjugated span with the
     same rank; each factor block F_i becomes F_i U.
     """
-    check_unitary(u)
+    target = conjugate_by_unitary(s, u)  # checks that u is an n x n unitary
     verify_certificate(s, cert)
 
     def rotated(factor: ExactMatrix) -> ExactMatrix:
         return hstack([blk @ u for blk in column_blocks(factor, cert.n)])
 
     out = replace(cert, C=rotated(cert.C), D=rotated(cert.D))
-    verify_certificate(conjugate_by_unitary(s, u), out)
+    verify_certificate(target, out)
     return out
 
 
@@ -640,15 +632,11 @@ def independent_witness_kraus(sys_: IndependentSystem) -> list[ExactMatrix]:
     ell = sys_.size
     ops: list[ExactMatrix] = []
     for a, psi in enumerate(sys_.vectors):
-        ints = integer_row(psi.nonzeros())  # L psi_a, with N = ||L psi_a||^2
+        ints, _ = psi.numerators()  # L psi_a, with N = ||L psi_a||^2
         norm_sq = sum(re * re + im * im for re, im in ints.values())
         for part in _four_square(norm_sq):
-            entries = {
-                p * ell + a: GaussianRational(Fraction(re * part, norm_sq),
-                                              Fraction(im * part, norm_sq))
-                for p, (re, im) in ints.items()
-            }
-            ops.append(ExactMatrix.from_nonzeros(sys_.n, ell, entries))
+            entries = {p * ell + a: (re * part, im * part) for p, (re, im) in ints.items()}
+            ops.append(ExactMatrix.from_numerators(sys_.n, ell, entries, norm_sq))
     return ops
 
 
@@ -706,14 +694,13 @@ def from_tp_map(tp: TpMapCertificate) -> HaemersCertificate:
 
 def _span_projector(s: NcGraph) -> np.ndarray:
     """Float orthogonal projector onto the span, from an exact Gram inverse."""
-    basis = s.basis
-    nn = s.n * s.n
-    # column t holds the row-major coordinates of basis[t]
-    coords: dict[int, GaussianRational] = {}
-    for t, mat in enumerate(basis):
-        for coord, x in mat.nonzeros().items():
-            coords[coord * s.dim + t] = x
-    v_exact = ExactMatrix.from_nonzeros(nn, s.dim, coords)
+    # column t holds the row-major coordinates of basis row t
+    coords = {
+        coord * s.dim + t: x
+        for t, row in enumerate(s.integer_rows.values())
+        for coord, x in row.items()
+    }
+    v_exact = ExactMatrix.from_numerators(s.n * s.n, s.dim, coords, s.scale)
     gram = v_exact.conj_transpose() @ v_exact
     gram_inv = gram.solve(ExactMatrix.identity(s.dim))
     if gram_inv is None:  # pragma: no cover - basis rows are independent
@@ -809,43 +796,53 @@ def _als_half_step(factor: np.ndarray, q4: np.ndarray, left_update: bool) -> np.
 def _polish_factor(
     s: NcGraph, c_exact: ExactMatrix, k: int, m: int
 ) -> Optional[HaemersCertificate]:
-    """Given an exact C, solve the (linear) feasibility for D over Q(i)."""
+    """Given an exact C, solve the (linear) feasibility for D over Q(i).
+
+    The rows are assembled in Z[i], each scaled by the denominator e of C^dag
+    (and the annihilator's by the span's scale), which keeps the solution.
+    """
     n = s.n
     mn = m * n
-    ch = c_exact.conj_transpose()
+    ch, e = c_exact.conj_transpose().numerators()
+    # ch_rows[r] lists (t, e * C^dag[r, t]) over the nonzeros of row r
+    ch_rows: list[list[tuple[int, GaussianInt]]] = [[] for _ in range(mn)]
+    for idx, x in ch.items():
+        r, t = divmod(idx, k)
+        ch_rows[r].append((t, x))
     ann = s.annihilator_rows()
     # unknowns: D in row-major order, D[t, c] at index t * mn + c
     nv = k * mn
-    entries: dict[int, GaussianRational] = {}
-    rhs: dict[int, GaussianRational] = {}
+    entries: dict[int, GaussianInt] = {}
+    rhs: dict[int, GaussianInt] = {}
 
-    def add(row: int, col: int, x: GaussianRational) -> None:
+    def add(row: int, col: int, xr: int, xi: int) -> None:
         key = row * nv + col
-        entries[key] = entries.get(key, ZERO) + x
+        ar, ai = entries.get(key, (0, 0))
+        entries[key] = (ar + xr, ai + xi)
 
     row = 0
     for i in range(m):
         for j in range(m):
             for a_row in ann:
-                for coord, val in a_row.items():
+                for coord, (vr, vi) in a_row.items():
                     p, qq = divmod(coord, n)
-                    for t in range(k):
-                        add(row, t * mn + j * n + qq, val * ch[i * n + p, t])
+                    for t, (cr, ci) in ch_rows[i * n + p]:
+                        add(row, t * mn + j * n + qq, vr * cr - vi * ci, vr * ci + vi * cr)
                 row += 1
     for p in range(n):
         for qq in range(n):
             for i in range(m):
-                for t in range(k):
-                    add(row, t * mn + i * n + qq, ch[i * n + p, t])
+                for t, (cr, ci) in ch_rows[i * n + p]:
+                    add(row, t * mn + i * n + qq, cr, ci)
             if p == qq:
-                rhs[row] = ONE
+                rhs[row] = (e, 0)
             row += 1
-    a_mat = ExactMatrix.from_nonzeros(row, nv, entries)
-    sol = a_mat.solve(ExactMatrix.from_nonzeros(row, 1, rhs))
+    a_mat = ExactMatrix.from_numerators(row, nv, entries)
+    sol = a_mat.solve(ExactMatrix.from_numerators(row, 1, rhs))
     if sol is None:
         return None
     cert = HaemersCertificate(
-        n=n, m=m, k=k, C=c_exact, D=ExactMatrix.from_nonzeros(k, mn, sol.nonzeros())
+        n=n, m=m, k=k, C=c_exact, D=ExactMatrix.from_numerators(k, mn, *sol.numerators())
     )
     try:
         verify_certificate(s, cert)

@@ -27,15 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .exactlinalg import ExactMatrix, GaussianRational, ONE, ZERO, hstack
+from .exactlinalg import ExactMatrix, ONE, hstack
 from .graphs import (
     DEFAULT_VERTEX_CAP,
     Graph,
-    _greedy_clique_cover,
     cycle_graph,
+    greedy_clique_cover,
     independence_number,
     strong_product,
 )
@@ -86,7 +85,7 @@ def verify_fitting(fm: FittingMatrix) -> int:
     for i in range(g.n):
         d = b[i, i]
         if fm.variant == "unit-diagonal":
-            if d != GaussianRational(Fraction(1)):
+            if d != ONE:
                 raise ValueError(f"diagonal entry ({i},{i}) = {d} is not 1")
         elif d.is_zero():
             raise ValueError(f"diagonal entry ({i},{i}) is zero")
@@ -161,12 +160,8 @@ def unit_diagonal_form(fm: FittingMatrix) -> FittingMatrix:
     have the same minimum.
     """
     n = fm.graph.n
-    rows = [
-        [fm.b[i, j] / fm.b[i, i] for j in range(n)]
-        for i in range(n)
-    ]
-    flat = [e for row in rows for e in row]
-    return FittingMatrix(fm.graph, "unit-diagonal", ExactMatrix(n, n, flat))
+    rows = [[fm.b[i, j] / fm.b[i, i] for j in range(n)] for i in range(n)]
+    return FittingMatrix(fm.graph, "unit-diagonal", ExactMatrix.from_rows(rows))
 
 
 def pentagon_representation() -> list[ExactMatrix]:
@@ -195,26 +190,14 @@ def _ceil_isqrt(a: int) -> int:
 def random_fitting_matrix(g: Graph, rng, variant: str = "unit-diagonal") -> FittingMatrix:
     """A random verified fitting matrix (generic rank; useful as test stock)."""
     n = g.n
-    entries = []
+    entries = {}
     for i in range(n):
         for j in range(n):
             if i == j:
-                if variant == "unit-diagonal":
-                    entries.append(ONE)
-                else:
-                    entries.append(
-                        GaussianRational(Fraction(rng.randint(1, 5)))
-                    )
+                entries[i * n + j] = (1 if variant == "unit-diagonal" else rng.randint(1, 5), 0)
             elif g.has_edge(i, j):
-                entries.append(
-                    GaussianRational(
-                        Fraction(rng.randint(-3, 3)),
-                        Fraction(rng.randint(-3, 3)),
-                    )
-                )
-            else:
-                entries.append(ZERO)
-    fm = FittingMatrix(g, variant, ExactMatrix(n, n, entries))
+                entries[i * n + j] = (rng.randint(-3, 3), rng.randint(-3, 3))
+    fm = FittingMatrix(g, variant, ExactMatrix.from_numerators(n, n, entries))
     verify_fitting(fm)
     return fm
 
@@ -256,14 +239,14 @@ def _representation(g: Graph) -> list[ExactMatrix]:
 
     The 5-cycle gets pentagon_representation().  Every other graph maps
     vertex v to e_c, where c is v's clique in the greedy clique cover of
-    graphs._greedy_clique_cover, numbered in order of discovery; vectors
+    graphs.greedy_clique_cover, numbered in order of discovery; vectors
     in different cliques are orthogonal, so the dimension is the number of
     cliques.  A complete graph gets one clique and the vector [1]; a graph
     without edges gets e_v at vertex v.
     """
     if g == cycle_graph(5):
         return pentagon_representation()
-    cliques = _greedy_clique_cover((1 << g.n) - 1, g.adjacency_masks())
+    cliques = greedy_clique_cover((1 << g.n) - 1, g.adjacency_masks())
     return [
         ExactMatrix.from_nonzeros(len(cliques), 1, {c: ONE})
         for v in range(g.n)

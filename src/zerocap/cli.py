@@ -108,15 +108,14 @@ def _load_config(path: Optional[str]) -> CliConfig:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = key.strip(), value.strip()
-        if key == "graph-n-cap":
-            cfg.graph_n_cap = int(value)
-        elif key == "sdp-tol":
-            cfg.sdp_tol = float(value)
-        elif key == "groebner-budget":
-            cfg.groebner_budget = float(value)
-        else:
+        key = key.strip()
+        kind = {"graph-n-cap": int, "sdp-tol": float, "groebner-budget": float}.get(key)
+        if kind is None:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        number = kind(value.strip())
+        if not number > 0:  # nan too
+            raise ValueError(f"{path}:{lineno}: {key} must be positive")
+        setattr(cfg, key.replace("-", "_"), number)  # the CliConfig field
     return cfg
 
 

@@ -1,14 +1,14 @@
 """Exact linear algebra over the Gaussian rationals Q(i).
 
 Everything that certifies a bound in this package runs through this module:
-matrices that store only their nonzero entries; rank, exact linear solves,
-rank factorization and the canonical basis of a span of matrices, which
-share one fraction-free Gauss-Jordan kernel on sparse rows over the
-Gaussian integers Z[i]; a positive semidefiniteness test that runs the
-kernel's row step with diagonal pivots; and span membership, a one-pass
-remainder against the canonical basis, which is held in Z[i] only (one
-scale times the echelon rows).  No elimination does Q(i) arithmetic.
-Scalars are pairs of ``fractions.Fraction``: no precision cap, no rounding.
+matrices that store their nonzero entries as Gaussian-integer (Z[i])
+numerators over one denominator; rank, exact solves, rank factorization
+and the canonical basis of a span of matrices, which share one
+fraction-free Gauss-Jordan kernel on sparse Z[i] rows and one division by
+its last pivot; a positive semidefiniteness test on the kernel's row step;
+and span membership against the canonical basis.  All of it runs on Python
+ints: no precision cap, no rounding.  ``GaussianRational``, a pair of
+``fractions.Fraction``, is only the scalar view for text and single entries.
 
 Floating point enters the package only in heuristic searches and the SDP
 solver; results coming from there are always re-checked here before being
@@ -21,8 +21,8 @@ import math
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from typing import Iterable, Optional, Sequence, Union
+from itertools import chain, repeat
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 Rationalish = Union[int, Fraction]
 Scalarish = Union[int, Fraction, "GaussianRational"]
@@ -99,13 +99,10 @@ class GaussianRational:
         return self.re * self.re + self.im * self.im
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.re or self.im)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
-
-    def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
 
     def __str__(self) -> str:
         return format_scalar(self)
@@ -119,11 +116,7 @@ ONE = GaussianRational(Fraction(1))
 
 
 def as_scalar(x: Scalarish) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(_frac(x))
-    raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
+    return x if isinstance(x, GaussianRational) else GaussianRational(x)
 
 
 # -- canonical text format ------------------------------------------
@@ -234,94 +227,137 @@ def rationalize_array(a, max_denominator: int) -> "ExactMatrix":
 
 
 # -- matrices --------------------------------------------------------
+#
+# Gaussian integers are (re, im) pairs of Python ints; sparse rows are
+# dicts {column or row-major index: nonzero Gaussian integer}.
+
+GaussianInt = tuple[int, int]
+IntegerRow = dict[int, GaussianInt]
+
+
+def _lcm_form(values: Iterable[tuple[int, GaussianRational]]) -> tuple[IntegerRow, int]:
+    """The nonzero (key, value) pairs over the lcm of their denominators, which
+    is lowest terms already: the lcm's prime powers each divide a denominator."""
+    nz = {k: x for k, x in values if not x.is_zero()}
+    den = math.lcm(*(d for x in nz.values() for d in (x.re.denominator, x.im.denominator)))
+    return {
+        k: (x.re.numerator * (den // x.re.denominator),
+            x.im.numerator * (den // x.im.denominator))
+        for k, x in nz.items()
+    }, den
+
+
+def _lowest_terms(nz: IntegerRow, den: int) -> tuple[IntegerRow, int]:
+    """nz / den, for den > 0, in ExactMatrix's canonical form: the gcd of den
+    and every numerator cancelled, denominator 1 for the zero matrix."""
+    if den == 1:
+        return nz, 1
+    g = math.gcd(den, *chain.from_iterable(nz.values()))
+    if g == 1:
+        return nz, den
+    return {k: (re // g, im // g) for k, (re, im) in nz.items()}, den // g
+
+
+def _over_pivot(nz: IntegerRow, d: GaussianInt) -> tuple[IntegerRow, int]:
+    """nz / d = nz * conj(d) / |d|^2 in canonical form: the one division by the
+    kernel's last pivot d, shared by solve, rank_factorization and sparse_rref."""
+    dr, di = d
+    return _lowest_terms(
+        {k: (ar * dr + ai * di, ai * dr - ar * di) for k, (ar, ai) in nz.items()},
+        dr * dr + di * di,
+    )
+
+
+def _check_indices(rows: int, cols: int, keys: dict) -> None:
+    if rows < 0 or cols < 0:
+        raise ValueError("negative shape")
+    if keys and not 0 <= min(keys) <= max(keys) < rows * cols:
+        raise ValueError(f"an index lies outside a {rows} x {cols} matrix")
 
 
 class ExactMatrix:
     """Matrix over Q(i) that stores only its nonzero entries; immutable.
 
-    The entries live in a dict {row-major index: nonzero value}, so a zero
-    costs nothing to parse, store, add, multiply or compare.  ``row``,
-    ``vec``, ``to_list`` and ``to_strings`` still give dense views.
+    The entries are a dict {row-major index: (re, im)} of Z[i] numerators
+    over one positive denominator, in lowest terms.  That form is canonical,
+    so equality and hashing compare it directly, and all arithmetic runs on
+    ints.  ``numerators`` and ``from_numerators`` give the integer form;
+    ``m[i, j]``, ``nonzeros``, ``row``, ``vec`` and ``to_list`` give
+    GaussianRational views and ``to_strings`` the text.
     """
 
-    __slots__ = ("rows", "cols", "_nz")
+    __slots__ = ("rows", "cols", "_nz", "_den")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[GaussianRational]):
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
         self.rows = rows
         self.cols = cols
-        self._nz = {k: x for k, x in enumerate(entries) if not x.is_zero()}
+        self._nz, self._den = _lcm_form(enumerate(entries))
 
     @classmethod
-    def _of(
-        cls, rows: int, cols: int, nz: dict[int, GaussianRational]
-    ) -> "ExactMatrix":
-        """Trusted constructor: nz holds only nonzero values at in-range indices."""
+    def _of(cls, rows: int, cols: int, nz: IntegerRow, den: int) -> "ExactMatrix":
+        """Trusted constructor: nz / den is in canonical form at in-range indices."""
         out = object.__new__(cls)
         out.rows = rows
         out.cols = cols
         out._nz = nz
+        out._den = den
         return out
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence[Scalarish]]) -> "ExactMatrix":
-        nrows = len(data)
-        ncols = len(data[0]) if nrows else 0
-        nz: dict[int, GaussianRational] = {}
-        for i, r in enumerate(data):
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-            for j, x in enumerate(r):
-                x = as_scalar(x)
-                if not x.is_zero():
-                    nz[i * ncols + j] = x
-        return cls._of(nrows, ncols, nz)
+        return cls._dense(data, as_scalar)
 
     @classmethod
     def from_strings(cls, data: list[list[str]]) -> "ExactMatrix":
         """Parse rows of scalar strings; the literal "0" is skipped unparsed."""
         if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
             raise ValueError("matrix must be a list of lists of scalar strings")
+        return cls._dense(data, parse_scalar, "0")
+
+    @classmethod
+    def _dense(cls, data: Sequence[Sequence], convert: Callable[..., GaussianRational],
+               skip: object = None) -> "ExactMatrix":
+        """The matrix of convert(x) over the rows of data; an x equal to skip
+        is zero and left unconverted."""
         nrows = len(data)
         ncols = len(data[0]) if nrows else 0
-        nz: dict[int, GaussianRational] = {}
-        for i, r in enumerate(data):
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-            for j, s in enumerate(r):
-                if s == "0":
-                    continue
-                x = parse_scalar(s)
-                if not x.is_zero():
-                    nz[i * ncols + j] = x
-        return cls._of(nrows, ncols, nz)
+        if any(len(r) != ncols for r in data):
+            raise ValueError("ragged rows")
+        return cls._of(nrows, ncols, *_lcm_form(
+            (i * ncols + j, convert(x))
+            for i, r in enumerate(data) for j, x in enumerate(r) if x != skip
+        ))
 
     @classmethod
     def from_nonzeros(
         cls, rows: int, cols: int, entries: dict[int, GaussianRational]
     ) -> "ExactMatrix":
         """Matrix with the given {row-major index: value} entries, zero elsewhere."""
-        if rows < 0 or cols < 0:
-            raise ValueError("negative shape")
-        size = rows * cols
-        nz: dict[int, GaussianRational] = {}
-        for k, x in entries.items():
-            if not 0 <= k < size:
-                raise ValueError(f"index {k} outside a {rows} x {cols} matrix")
-            if not x.is_zero():
-                nz[k] = x
-        return cls._of(rows, cols, nz)
+        _check_indices(rows, cols, entries)
+        return cls._of(rows, cols, *_lcm_form(entries.items()))
+
+    @classmethod
+    def from_numerators(
+        cls, rows: int, cols: int, numerators: dict[int, GaussianInt], den: int = 1
+    ) -> "ExactMatrix":
+        """Matrix with entries numerators[k] / den, den > 0, zero elsewhere."""
+        _check_indices(rows, cols, numerators)
+        if den < 1:
+            raise ValueError("the denominator must be positive")
+        nz = {k: v for k, v in numerators.items() if v != (0, 0)}
+        return cls._of(rows, cols, *_lowest_terms(nz, den))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls.from_nonzeros(rows, cols, {})
+        return cls.from_numerators(rows, cols, {})
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls.from_nonzeros(n, n, {i * n + i: ONE for i in range(n)})
+        return cls.from_numerators(n, n, {i * n + i: (1, 0) for i in range(n)})
 
     @classmethod
     def column(cls, entries: Sequence[Scalarish]) -> "ExactMatrix":
@@ -329,25 +365,36 @@ class ExactMatrix:
 
     # -- access ------------------------------------------------------
 
+    def numerators(self) -> tuple[IntegerRow, int]:
+        """({row-major index: (re, im)}, den), the canonical form; the dict is
+        shared, not to be modified."""
+        return self._nz, self._den
+
+    def _entry(self, k: int) -> GaussianRational:
+        v = self._nz.get(k)
+        if v is None:
+            return ZERO
+        return GaussianRational(Fraction(v[0], self._den), Fraction(v[1], self._den))
+
     def __getitem__(self, key: tuple[int, int]) -> GaussianRational:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(key)
-        return self._nz.get(i * self.cols + j, ZERO)
+        return self._entry(i * self.cols + j)
 
     def nonzeros(self) -> dict[int, GaussianRational]:
         """A fresh dict {row-major index: value} of the nonzero entries."""
-        return dict(self._nz)
+        return {k: self._entry(k) for k in self._nz}
 
     def row(self, i: int) -> tuple[GaussianRational, ...]:
         start = i * self.cols
-        return tuple(map(self._nz.get, range(start, start + self.cols), repeat(ZERO)))
+        return tuple(map(self._entry, range(start, start + self.cols)))
 
     def to_list(self) -> list[list[GaussianRational]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def to_strings(self) -> list[list[str]]:
-        text = {k: format_scalar(x) for k, x in self._nz.items()}
+        text = {k: format_scalar(self._entry(k)) for k in self._nz}
         c = self.cols
         return [
             list(map(text.get, range(i * c, (i + 1) * c), repeat("0")))
@@ -355,11 +402,13 @@ class ExactMatrix:
         ]
 
     def to_complex(self):
+        """The entries as floats; int / int rounds correctly, like float(Fraction)."""
         import numpy as np
 
         a = np.zeros(self.rows * self.cols, dtype=complex)
-        for k, x in self._nz.items():
-            a[k] = x.to_complex()
+        den = self._den
+        for k, (re, im) in self._nz.items():
+            a[k] = complex(re / den, im / den)
         return a.reshape(self.rows, self.cols)
 
     @property
@@ -370,11 +419,12 @@ class ExactMatrix:
         return (
             isinstance(other, ExactMatrix)
             and self.shape == other.shape
+            and self._den == other._den
             and self._nz == other._nz
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, frozenset(self._nz.items())))
+        return hash((self.rows, self.cols, self._den, frozenset(self._nz.items())))
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols})"
@@ -387,16 +437,17 @@ class ExactMatrix:
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch in +")
-        out = dict(self._nz)
-        for k, b in other._nz.items():
-            a = out.get(k)
-            if a is None:
-                out[k] = b
-            elif (total := a + b).is_zero():
+        den = math.lcm(self._den, other._den)
+        fa, fb = den // self._den, den // other._den
+        out = {k: (re * fa, im * fa) for k, (re, im) in self._nz.items()}
+        for k, (br, bi) in other._nz.items():
+            ar, ai = out.get(k, (0, 0))
+            total = (ar + br * fb, ai + bi * fb)
+            if total == (0, 0):
                 del out[k]
             else:
                 out[k] = total
-        return ExactMatrix._of(self.rows, self.cols, out)
+        return ExactMatrix._of(self.rows, self.cols, *_lowest_terms(out, den))
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.shape != other.shape:
@@ -405,17 +456,11 @@ class ExactMatrix:
 
     def __neg__(self) -> "ExactMatrix":
         return ExactMatrix._of(
-            self.rows, self.cols, {k: -a for k, a in self._nz.items()}
+            self.rows, self.cols, {k: (-re, -im) for k, (re, im) in self._nz.items()}, self._den
         )
 
     def scale(self, z: Scalarish) -> "ExactMatrix":
-        z = as_scalar(z)
-        if z.is_zero():
-            return ExactMatrix._of(self.rows, self.cols, {})
-        # a product of nonzero elements of a field is nonzero
-        return ExactMatrix._of(
-            self.rows, self.cols, {k: z * a for k, a in self._nz.items()}
-        )
+        return self.kron(ExactMatrix.from_rows([[z]]))
 
     def __mul__(self, z: Scalarish) -> "ExactMatrix":
         return self.scale(z)
@@ -429,26 +474,26 @@ class ExactMatrix:
             )
         k, m = self.cols, other.cols
         # the nonzeros of other, grouped by row
-        other_rows: dict[int, list[tuple[int, GaussianRational]]] = {}
+        other_rows: dict[int, list[tuple[int, GaussianInt]]] = {}
         for idx, b in other._nz.items():
             t, j = divmod(idx, m)
             other_rows.setdefault(t, []).append((j, b))
-        out: dict[int, GaussianRational] = {}
-        for idx, a in self._nz.items():
+        out: IntegerRow = {}
+        for idx, (ar, ai) in self._nz.items():
             i, t = divmod(idx, k)
             base = i * m
-            for j, b in other_rows.get(t, ()):
+            for j, (br, bi) in other_rows.get(t, ()):
                 key = base + j
-                prev = out.get(key)
-                out[key] = a * b if prev is None else prev + a * b
-        return ExactMatrix._of(
-            self.rows, m, {key: x for key, x in out.items() if not x.is_zero()}
-        )
+                pr, pi = out.get(key, (0, 0))
+                out[key] = (pr + ar * br - ai * bi, pi + ar * bi + ai * br)
+        nz = {key: v for key, v in out.items() if v != (0, 0)}
+        return ExactMatrix._of(self.rows, m, *_lowest_terms(nz, self._den * other._den))
 
     def conj_transpose(self) -> "ExactMatrix":
         n, m = self.rows, self.cols
         return ExactMatrix._of(
-            m, n, {(k % m) * n + k // m: a.conj() for k, a in self._nz.items()}
+            m, n, {(k % m) * n + k // m: (re, -im) for k, (re, im) in self._nz.items()},
+            self._den,
         )
 
     @property
@@ -462,23 +507,25 @@ class ExactMatrix:
         width = m * q
         # offset of other's entry (r, s) inside its block of the result
         placed = [((k // q) * width + k % q, b) for k, b in other._nz.items()]
-        out: dict[int, GaussianRational] = {}
-        for k, a in self._nz.items():
+        out: IntegerRow = {}
+        for k, (ar, ai) in self._nz.items():
             i, j = divmod(k, m)
             corner = i * p * width + j * q
-            for off, b in placed:
-                out[corner + off] = a * b
-        return ExactMatrix._of(self.rows * p, width, out)
+            for off, (br, bi) in placed:  # no zeros: Z[i] has no zero divisors
+                out[corner + off] = (ar * br - ai * bi, ar * bi + ai * br)
+        return ExactMatrix._of(self.rows * p, width, *_lowest_terms(out, self._den * other._den))
 
     def direct_sum(self, other: "ExactMatrix") -> "ExactMatrix":
         n, m = self.rows, self.cols
         q = other.cols
         width = m + q
-        out = {(k // m) * width + k % m: a for k, a in self._nz.items()}
+        den = math.lcm(self._den, other._den)  # lowest terms, as in _lcm_form
+        fa, fb = den // self._den, den // other._den
+        out = {(k // m) * width + k % m: (re * fa, im * fa) for k, (re, im) in self._nz.items()}
         corner = n * width + m
-        for k, b in other._nz.items():
-            out[corner + (k // q) * width + k % q] = b
-        return ExactMatrix._of(n + other.rows, width, out)
+        for k, (re, im) in other._nz.items():
+            out[corner + (k // q) * width + k % q] = (re * fb, im * fb)
+        return ExactMatrix._of(n + other.rows, width, out, den)
 
     def submatrix(
         self, row_idx: Sequence[int], col_idx: Sequence[int]
@@ -494,17 +541,17 @@ class ExactMatrix:
         for b, j in enumerate(col_idx):
             col_at.setdefault(j, []).append(b)
         w = len(col_idx)
-        out: dict[int, GaussianRational] = {}
+        out: IntegerRow = {}
         for k, x in self._nz.items():
             i, j = divmod(k, self.cols)
             for a in row_at.get(i, ()):
                 for b in col_at.get(j, ()):
                     out[a * w + b] = x
-        return ExactMatrix._of(len(row_idx), w, out)
+        return ExactMatrix._of(len(row_idx), w, *_lowest_terms(out, self._den))
 
     def vec(self) -> tuple[GaussianRational, ...]:
         """Row-major flattening, the coordinate convention used for spans."""
-        return tuple(map(self._nz.get, range(self.rows * self.cols), repeat(ZERO)))
+        return tuple(map(self._entry, range(self.rows * self.cols)))
 
     # -- rank, solve, psd ---------------------------------------------
 
@@ -528,12 +575,12 @@ class ExactMatrix:
         if any(rows[len(pivots):]):
             return None
         x = {
-            c * w + j - m: _divide(v, d)
+            c * w + j - m: v
             for row, c in zip(rows, pivots)
             for j, v in row.items()
             if j >= m
         }
-        return ExactMatrix._of(m, w, x)
+        return ExactMatrix._of(m, w, *_over_pivot(x, d))
 
     def is_hermitian(self) -> bool:
         return self.rows == self.cols and self == self.conj_transpose()
@@ -541,7 +588,7 @@ class ExactMatrix:
     def is_psd(self) -> bool:
         """Exact test: True iff self is Hermitian and positive semidefinite.
 
-        Eliminates the rows scaled into Z[i] with the Bareiss step, diagonal
+        Eliminates the primitive Z[i] rows with the Bareiss step, diagonal
         pivots in index order.  Each row stays a positive multiple of its
         Schur complement row, which keeps every sign and zero read here.  A
         non-real or negative diagonal entry certifies non-PSD, as does a
@@ -569,28 +616,30 @@ class ExactMatrix:
 def hstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
     """The matrices side by side; they share a row count."""
     width = sum(mat.cols for mat in mats)
-    out: dict[int, GaussianRational] = {}
+    den = math.lcm(*(mat._den for mat in mats))  # lowest terms, as in _lcm_form
+    out: IntegerRow = {}
     offset = 0
     for mat in mats:
         if mat.rows != mats[0].rows:
             raise ValueError("hstack needs equal row counts")
-        for k, x in mat._nz.items():
+        f = den // mat._den
+        for k, (re, im) in mat._nz.items():
             i, j = divmod(k, mat.cols)
-            out[i * width + offset + j] = x
+            out[i * width + offset + j] = (re * f, im * f)
         offset += mat.cols
-    return ExactMatrix._of(mats[0].rows, width, out)
+    return ExactMatrix._of(mats[0].rows, width, out, den)
 
 
 def column_blocks(a: ExactMatrix, width: int) -> list[ExactMatrix]:
     """a cut into blocks of `width` columns, left to right (inverse of hstack)."""
     if width < 1 or a.cols % width:
         raise ValueError(f"{a.cols} columns do not split into blocks of {width}")
-    parts: list[dict[int, GaussianRational]] = [{} for _ in range(a.cols // width)]
+    parts: list[IntegerRow] = [{} for _ in range(a.cols // width)]
     for k, x in a._nz.items():
         i, j = divmod(k, a.cols)
         block, col = divmod(j, width)
         parts[block][i * width + col] = x
-    return [ExactMatrix._of(a.rows, width, part) for part in parts]
+    return [ExactMatrix._of(a.rows, width, *_lowest_terms(part, a._den)) for part in parts]
 
 
 def rank_factorization(a: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
@@ -602,51 +651,25 @@ def rank_factorization(a: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
     """
     m = a.cols
     pivots, rows, d = _fraction_free_rref(_integer_rows(a), m)
-    q = {
-        t * m + j: _divide(v, d)
-        for t, row in enumerate(rows[: len(pivots)])
-        for j, v in row.items()
-    }
-    return a.submatrix(range(a.rows), pivots), ExactMatrix._of(len(pivots), m, q)
+    q = {t * m + j: v for t, row in enumerate(rows[: len(pivots)]) for j, v in row.items()}
+    return a.submatrix(range(a.rows), pivots), ExactMatrix._of(len(pivots), m, *_over_pivot(q, d))
 
 
 # -- fraction-free elimination over Z[i] -----------------------------
-#
-# Gaussian integers are (re, im) pairs of Python ints.  Rows are sparse:
-# dicts {column: nonzero Gaussian integer}.
-
-GaussianInt = tuple[int, int]
-IntegerRow = dict[int, GaussianInt]
-SparseRow = dict[int, GaussianRational]
-
-
-def integer_row(row: SparseRow) -> IntegerRow:
-    """row scaled into Z[i] by the lcm of its denominators, zeros dropped."""
-    row = {j: x for j, x in row.items() if not x.is_zero()}
-    scale = math.lcm(*(d for x in row.values() for d in (x.re.denominator, x.im.denominator)))
-    return {
-        j: (x.re.numerator * (scale // x.re.denominator),
-            x.im.numerator * (scale // x.im.denominator))
-        for j, x in row.items()
-    }
 
 
 def _integer_rows(a: ExactMatrix) -> list[IntegerRow]:
-    """The rows of a, each scaled into Z[i] by integer_row."""
-    rows: list[SparseRow] = [{} for _ in range(a.rows)]
+    """The rows of a's numerators, each divided by the gcd of its components;
+    primitive rows keep the kernel's integers small."""
+    rows: list[IntegerRow] = [{} for _ in range(a.rows)]
     for k, x in a._nz.items():
         i, j = divmod(k, a.cols)
         rows[i][j] = x
-    return [integer_row(row) for row in rows]
-
-
-def _divide(x: GaussianInt, d: GaussianInt) -> GaussianRational:
-    """x / d in Q(i), for d nonzero."""
-    (xr, xi), (dr, di) = x, d
-    norm = dr * dr + di * di
-    return GaussianRational(
-        Fraction(xr * dr + xi * di, norm), Fraction(xi * dr - xr * di, norm)
-    )
+    for i, row in enumerate(rows):
+        g = math.gcd(*chain.from_iterable(row.values()))
+        if g > 1:
+            rows[i] = {j: (re // g, im // g) for j, (re, im) in row.items()}
+    return rows
 
 
 def _bareiss_step(row: IntegerRow, pivot_row: IntegerRow, f: GaussianInt,
@@ -675,16 +698,15 @@ def _fraction_free_rref(
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968) on sparse Z[i] rows.
 
     The one elimination kernel of the package: rank, solve and
-    rank_factorization run it on the rows of a matrix, and sparse_rref on
-    the row-major vectorizations of a span's generators.  Callers scale
-    each row to Gaussian integers first; row scaling changes neither the
-    row space nor the reduced row echelon form (RREF).  Pivots are taken
-    in columns below ncols only, at the first nonzero entry in column
-    order.  For a pivot p every other row takes the Bareiss step
-    (p * row - f * pivot_row) / prev of _bareiss_step, which is_psd shares,
-    with prev the previous pivot (1 at the start); a row with f = 0 is left
-    alone when p == prev.  Every entry stays a minor of the scaled input, so
-    the division is exact in Z[i].  The rows are updated in place.
+    rank_factorization run it on the primitive rows of a matrix, and
+    sparse_rref on the row-major vectorizations of a span's generators;
+    row scaling changes neither the row space nor the reduced row echelon
+    form (RREF).  Pivots are taken in columns below ncols only, at the
+    first nonzero entry in column order.  For a pivot p every other row
+    takes the Bareiss step of _bareiss_step with prev the previous pivot (1
+    at the start); a row with f = 0 is left alone when p == prev.  Every
+    entry stays a minor of the input, so the division is exact in Z[i].
+    The list is updated in place; the row dicts are not modified.
 
     Returns (pivots, rows, d): the pivot columns, the eliminated rows with
     the pivot rows first in pivot order, and the last pivot d, which every
@@ -716,32 +738,30 @@ def _fraction_free_rref(
 
 # -- span canonicalization -------------------------------------------
 #
-# Spans of matrices are rows of their row-major vectorizations, as dicts
-# {coordinate: value}, so matrix-unit-heavy spans stay cheap.
+# Spans of matrices are rows of their row-major vectorizations, as Z[i]
+# dicts {coordinate: value}, so matrix-unit-heavy spans stay cheap.
 
 
-def sparse_rref(rows: Iterable[SparseRow]) -> tuple[int, dict[int, IntegerRow]]:
-    """Canonical basis of the span of sparse rows, held in Z[i].
+def sparse_rref(rows: Iterable[IntegerRow]) -> tuple[int, dict[int, IntegerRow]]:
+    """Canonical basis of the span of sparse Z[i] rows, held in Z[i].
 
     The rows of the reduced row echelon form (pivots at leading coordinates,
     normalized to 1, eliminated above and below; zero rows dropped) come
-    back as (s, {pivot: s * row}), with s > 0 the lcm of all their
-    denominators.  Two spans are equal iff their sparse_rref pairs are equal.
+    back as (s, {pivot: s * row}) in ExactMatrix's canonical form.  Two
+    spans are equal iff their sparse_rref pairs are equal.  Zero entries of
+    the input are ignored; the input is not modified.
     """
-    scaled = [integer_row(row) for row in rows]
-    width = 1 + max((j for row in scaled for j in row), default=-1)
-    pivots, out, (dr, di) = _fraction_free_rref(scaled, width)
-    # row / d is row * conj(d) / |d|^2; then cancel the common gcd
-    prods = [
-        {j: (ar * dr + ai * di, ai * dr - ar * di) for j, (ar, ai) in sorted(row.items())}
-        for row in out[: len(pivots)]
-    ]
-    norm = dr * dr + di * di
-    g = math.gcd(norm, *(x for row in prods for v in row.values() for x in v))
-    return norm // g, {
-        p: {j: (xr // g, xi // g) for j, (xr, xi) in row.items()}
-        for p, row in zip(pivots, prods)
-    }
+    rows = [{j: v for j, v in row.items() if v != (0, 0)} for row in rows]
+    width = 1 + max((j for row in rows for j in row), default=-1)
+    pivots, out, d = _fraction_free_rref(rows, width)
+    flat, scale = _over_pivot(
+        {p * width + j: v for p, row in zip(pivots, out) for j, v in row.items()}, d
+    )
+    basis: dict[int, IntegerRow] = {p: {} for p in pivots}
+    for k, v in flat.items():
+        p, j = divmod(k, width)
+        basis[p][j] = v
+    return scale, basis
 
 
 def reduce_row(row: IntegerRow, basis: dict[int, IntegerRow], scale: int) -> IntegerRow:

@@ -176,7 +176,7 @@ def strong_power(g: Graph, k: int) -> Graph:
     return out
 
 
-def _greedy_clique_cover(candidates: int, adj: list[int]) -> list[int]:
+def greedy_clique_cover(candidates: int, adj: list[int]) -> list[int]:
     """A greedy clique cover of the induced subgraph on the mask.
 
     Returns the cliques as vertex masks in order of discovery: each one
@@ -232,7 +232,7 @@ def independence_number(
             return
         if size + bin(candidates).count("1") <= best_size:
             return
-        if size + len(_greedy_clique_cover(candidates, adj)) <= best_size:
+        if size + len(greedy_clique_cover(candidates, adj)) <= best_size:
             return
         v = (candidates & -candidates).bit_length() - 1
         bit = 1 << v

@@ -535,16 +535,17 @@ def _encode_factor(s: NcGraph, k: int, m: int) -> EncodedSystem:
         return total
 
     constraints: list[CPair] = []
-    ann = s.annihilator_rows()
+    scale, ann = s.scale, s.annihilator_rows()
     for bi in range(m):
         for bj in range(m):
             entries = {}
             for row in ann:
                 total = zero
-                for coord, coeff in row.items():
+                for coord, (re, im) in row.items():
                     p, q = divmod(coord, n)
                     if coord not in entries:
                         entries[coord] = block_entry(bi, bj, p, q)
+                    coeff = GaussianRational(Fraction(re, scale), Fraction(im, scale))
                     total = _cadd(total, _cscale(entries[coord], coeff))
                 constraints.append(total)
     for p in range(n):

@@ -25,7 +25,6 @@ from .exactlinalg import (
     ExactMatrix,
     ONE,
     format_scalar,
-    integer_row,
     require_int,
     parse_scalar,
     rationalize_array,
@@ -91,7 +90,7 @@ def verify_independent(s: NcGraph, sys_: IndependentSystem) -> bool:
     Raises ValueError on malformed input (zero vector, dimension mismatch);
     returns False when some condition fails, True when all pass.  Each sum
     of conj(psi_i[r]) A[r, c] psi_j[c] runs in Z[i] over the entries of a
-    canonical row A and the vectors' nonzeros, all scaled into Z[i].
+    canonical row A and the vectors' numerators.
     """
     if sys_.n != s.n:
         raise ValueError(f"vectors live in C^{sys_.n} but the span is in M_{s.n}")
@@ -99,7 +98,7 @@ def verify_independent(s: NcGraph, sys_: IndependentSystem) -> bool:
     for idx, v in enumerate(sys_.vectors):
         if v.is_zero():
             raise ValueError(f"vector {idx} is zero")
-        for r, x in integer_row(v.nonzeros()).items():
+        for r, x in v.numerators()[0].items():
             at.setdefault(r, []).append((idx, x))
     for row in s.integer_rows.values():
         sums: dict[tuple[int, int], tuple[int, int]] = {}

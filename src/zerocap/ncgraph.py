@@ -2,10 +2,11 @@
 
 A noncommutative graph here is any linear subspace S of the n x n complex
 matrices, held once, in the Gaussian integers Z[i]: the reduced row echelon
-basis of its row-major vectorization times the lcm s of its denominators.
-Equality, support, membership and graph detection read that canonical form
-directly, and the basis matrices and annihilator functionals (the linear
-conditions cutting out S) divide by s on demand, all exact and deterministic.
+basis of its row-major vectorization as numerators over one denominator s
+(sparse_rref of Z[i] rows).  Equality, support, membership, graph detection
+and the annihilator functionals (the linear conditions cutting out S) read
+that canonical form directly, and the basis matrices are its rows over s,
+all exact and deterministic.
 Operator systems, i.e. self-adjoint subspaces containing the identity, are
 flagged but not required; functions downstream that assume the flags warn
 when they are absent.
@@ -24,10 +25,6 @@ from .exactlinalg import (
     ExactMatrix,
     GaussianRational,
     IntegerRow,
-    ONE,
-    SparseRow,
-    _divide,
-    integer_row,
     require_int,
     require_list,
     reduce_row,
@@ -45,7 +42,7 @@ class NcGraph:
 
     __slots__ = ("n", "_scale", "_rows", "_support", "_self_adjoint", "_has_identity")
 
-    def __init__(self, n: int, rows: Sequence[SparseRow]):
+    def __init__(self, n: int, rows: Sequence[IntegerRow]):
         if n < 1:
             raise ValueError("ambient dimension must be >= 1")
         self.n = n
@@ -70,16 +67,16 @@ class NcGraph:
         for a in mats:
             if a.shape != (n, n):
                 raise ValueError(f"generator shape {a.shape} != ({n},{n})")
-            rows.append(a.nonzeros())
+            rows.append(a.numerators()[0])
         return NcGraph(n, rows)
 
     @staticmethod
     def from_graph(g: Graph) -> "NcGraph":
         n = g.n
-        rows = [{i * n + i: ONE} for i in range(n)]
+        rows = [{i * n + i: (1, 0)} for i in range(n)]
         for i, j in g.edges:
-            rows.append({i * n + j: ONE})
-            rows.append({j * n + i: ONE})
+            rows.append({i * n + j: (1, 0)})
+            rows.append({j * n + i: (1, 0)})
         return NcGraph(n, rows)
 
     # -- basic queries -----------------------------------------------------
@@ -91,16 +88,18 @@ class NcGraph:
     @property
     def basis(self) -> list[ExactMatrix]:
         """Canonical basis as matrices."""
-        n, scale = self.n, (self._scale, 0)
-        return [
-            ExactMatrix.from_nonzeros(n, n, {j: _divide(v, scale) for j, v in r.items()})
-            for r in self._rows.values()
-        ]
+        return [ExactMatrix.from_numerators(self.n, self.n, r, self._scale)
+                for r in self._rows.values()]
 
     @property
     def integer_rows(self) -> dict[int, IntegerRow]:
         """{pivot: row} of the canonical basis in Z[i], as sparse_rref gives it."""
         return self._rows
+
+    @property
+    def scale(self) -> int:
+        """The denominator s > 0 of integer_rows: basis row = row / s."""
+        return self._scale
 
     @property
     def support(self) -> frozenset[int]:
@@ -122,7 +121,7 @@ class NcGraph:
         return self.dim == self.n * self.n
 
     def contains(self, a: ExactMatrix) -> bool:
-        return a.shape == (self.n, self.n) and self._contains_row(integer_row(a.nonzeros()))
+        return a.shape == (self.n, self.n) and self._contains_row(a.numerators()[0])
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -139,16 +138,17 @@ class NcGraph:
 
     # -- structure ---------------------------------------------------------
 
-    def annihilator_rows(self) -> list[SparseRow]:
-        """Linear functionals L with S = {X : L(vec X) = 0 for all L}.
+    def annihilator_rows(self) -> list[IntegerRow]:
+        """Linear functionals L with S = {X : L(vec X) = 0 for all L}, in Z[i].
 
         Read off the echelon basis: a coordinate is either a pivot of some
         basis row or determined by the pivots; each non-pivot coordinate c
-        yields the functional X_c - sum_j basis_j[c] * X_{p_j}.
+        yields the functional X_c - sum_j basis_j[c] * X_{p_j}, returned
+        times the scale s as {c: s, p_j: -s * basis_j[c]}.
         """
-        scale = (self._scale, 0)
+        s = self._scale
         return [
-            {c: ONE, **{p: -_divide(b[c], scale) for p, b in self._rows.items() if c in b}}
+            {c: (s, 0), **{p: (-b[c][0], -b[c][1]) for p, b in self._rows.items() if c in b}}
             for c in range(self.n * self.n)
             if c not in self._rows
         ]
@@ -180,7 +180,7 @@ class NcGraph:
 
 
 def matrix_unit(n: int, i: int, j: int) -> ExactMatrix:
-    return ExactMatrix.from_nonzeros(n, n, {i * n + j: ONE})
+    return ExactMatrix.from_numerators(n, n, {i * n + j: (1, 0)})
 
 
 def check_unitary(u: ExactMatrix) -> None:
@@ -325,22 +325,22 @@ def conjugate_by_unitary(s: NcGraph, u: ExactMatrix) -> NcGraph:
 
 
 def full_matrix_system(n: int) -> NcGraph:
-    return NcGraph(n, [{k: ONE} for k in range(n * n)])
+    return NcGraph(n, [{k: (1, 0)} for k in range(n * n)])
 
 
 def scalar_identity_system(n: int) -> NcGraph:
-    return NcGraph(n, [{i * n + i: ONE for i in range(n)}])
+    return NcGraph(n, [{i * n + i: (1, 0) for i in range(n)}])
 
 
 def diagonal_system(n: int) -> NcGraph:
-    return NcGraph(n, [{i * n + i: ONE} for i in range(n)])
+    return NcGraph(n, [{i * n + i: (1, 0)} for i in range(n)])
 
 
 def constant_diagonal_system(n: int) -> NcGraph:
     """Matrices with constant diagonal and free off-diagonal entries."""
-    rows: list[SparseRow] = [{i * n + i: ONE for i in range(n)}]
+    rows: list[IntegerRow] = [{i * n + i: (1, 0) for i in range(n)}]
     rows.extend(
-        {i * n + j: ONE} for i in range(n) for j in range(n) if i != j
+        {i * n + j: (1, 0)} for i in range(n) for j in range(n) if i != j
     )
     return NcGraph(n, rows)
 

@@ -50,7 +50,7 @@ from .classical import (
     random_fitting_matrix,
     verify_fitting,
 )
-from .exactlinalg import ExactMatrix, ONE, ZERO
+from .exactlinalg import ExactMatrix
 from .graphs import (
     Graph,
     complete_graph,
@@ -250,9 +250,7 @@ def check_graph_embedding_consistency(seed: int = 0) -> CheckResult:
             continue
         perm = list(range(n))
         rng.shuffle(perm)
-        u = ExactMatrix(
-            n, n, [ONE if perm[j] == i else ZERO for i in range(n) for j in range(n)]
-        )
+        u = ExactMatrix.from_numerators(n, n, {perm[j] * n + j: (1, 0) for j in range(n)})
         rotated = conjugate_certificate(s, cert, u)
         back = project_to_graph_certificate(conjugate_by_unitary(s, u), rotated)
         back_rank = verify_fitting(back)

@@ -44,7 +44,7 @@ from zerocap.classical import (
     unit_diagonal_form,
     verify_fitting,
 )
-from zerocap.exactlinalg import ExactMatrix, GaussianRational, ONE, parse_scalar
+from zerocap.exactlinalg import ExactMatrix, GaussianRational, parse_scalar
 from zerocap.graphs import complete_graph, cycle_graph, empty_graph, independence_number, strong_product
 from zerocap.independence import IndependentSystem, verify_independent
 from zerocap.ncgraph import (
@@ -163,7 +163,7 @@ def test_ambient_dimension_mismatch():
 
 
 def test_non_operator_system_warns():
-    offdiag = NcGraph(2, [{1: ONE}])  # span of a single off-diagonal unit
+    offdiag = NcGraph(2, [{1: (1, 0)}])  # span of a single off-diagonal unit
     cert = HaemersCertificate(
         n=2, m=1, k=1,
         C=ExactMatrix.from_strings([["1", "0"]]),

@@ -18,10 +18,10 @@ from zerocap.classical import (
 )
 from zerocap.exactlinalg import ExactMatrix
 from zerocap.graphs import (
-    _greedy_clique_cover,
     complete_graph,
     cycle_graph,
     empty_graph,
+    greedy_clique_cover,
     independence_number,
     path_graph,
     random_graph,
@@ -236,7 +236,7 @@ def test_bounds_report_upper_bounds_are_the_greedy_clique_cover():
     rng = random.Random(12)
     for _ in range(60):
         g = random_graph(rng.randint(5, 12), rng.choice((0.3, 0.5, 0.7)), rng)
-        cliques = _greedy_clique_cover((1 << g.n) - 1, g.adjacency_masks())
+        cliques = greedy_clique_cover((1 << g.n) - 1, g.adjacency_masks())
         rep = bounds_report(g)
         assert rep.haemers_upper == rep.xi_upper == len(cliques)
         assert rep.consistent

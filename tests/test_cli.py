@@ -522,6 +522,18 @@ def test_transform_conjugate_writes_a_verifiable_span(tmp_path, capsys):
     assert "rank 3, OK" in capsys.readouterr().out
 
 
+def test_transform_conjugate_rejects_a_unitary_of_the_wrong_size(tmp_path, capsys):
+    span = _write_span(tmp_path, "ci2.json", scalar_identity_system(2))
+    cert = _write_cert(tmp_path, "id2.json", identity_certificate(2))
+    u = _write_json(tmp_path, "u3.json", [["1" if i == j else "0" for j in range(3)]
+                                          for i in range(3)])
+    out = tmp_path / "conj.json"
+    assert main(["nc", "transform", "conjugate", span, cert, u, "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: unitary dimension mismatch\n"
+    assert not out.exists()
+
+
 def test_transform_cohom_pulls_a_certificate_back(tmp_path, capsys):
     kraus = independent_witness_kraus(IndependentSystem.standard_basis(5, [0, 2]))
     channel = _write_json(tmp_path, "ch.json", QuantumChannel(2, 5, tuple(kraus)).to_json_dict())
@@ -655,6 +667,21 @@ def test_nc_haemers_above_the_vertex_cap_keeps_the_subspace_bound(tmp_path, caps
     span = _write_span(tmp_path, "c65.json", NcGraph.from_graph(cycle_graph(65)))
     lower, upper, _ = _nc_haemers_json(span, tmp_path, capsys, "--k-max", "1")
     assert [lower, upper["rank"], upper["method"]] == [2, 33, "fitting-lift"]
+
+
+@pytest.mark.parametrize(
+    "line", ["groebner-budget = -1", "groebner-budget = 0", "graph-n-cap = 0",
+             "graph-n-cap = -3", "sdp-tol = 0"],
+)
+def test_config_rejects_a_nonpositive_value(line, ci2_file, tmp_path, capsys):
+    # a budget of -1 used to turn the scalar span's proved "infeasible" into "unknown"
+    cfg = tmp_path / "caps.cfg"
+    cfg.write_text("# caps\n" + line + "\n")
+    assert main(["nc", "haemers", ci2_file, "--exact-tiny", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    key = line.split("=")[0].strip()
+    assert captured.out == ""
+    assert captured.err == f"error: {cfg}:2: {key} must be positive\n"
 
 
 def test_config_unknown_key_exits_2(c5_file, tmp_path, capsys):

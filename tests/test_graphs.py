@@ -15,11 +15,11 @@ import pytest
 
 from zerocap.graphs import (
     Graph,
-    _greedy_clique_cover,
     complete_graph,
     cycle_graph,
     disjoint_union,
     empty_graph,
+    greedy_clique_cover,
     independence_number,
     path_graph,
     random_graph,
@@ -173,7 +173,7 @@ def test_greedy_clique_cover_partitions_the_candidates_into_cliques():
         g = random_graph(rng.randint(1, 14), rng.random(), rng)
         candidates = rng.getrandbits(g.n)
         covered = 0
-        for mask in _greedy_clique_cover(candidates, g.adjacency_masks()):
+        for mask in greedy_clique_cover(candidates, g.adjacency_masks()):
             assert mask and not mask & covered
             covered |= mask
             members = [v for v in range(g.n) if mask >> v & 1]

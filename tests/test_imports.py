@@ -7,7 +7,9 @@ name bound by an import must be read somewhere else in the same file
 re-exports listed in ``__all__``.  In the package modules, a function,
 class or assignment at module level whose name starts with one
 underscore is private to its module, so it must be read there too; this
-catches helpers that a refactor leaves behind.
+catches helpers that a refactor leaves behind.  For the same reason no
+package module imports such a name from another zerocap module: a helper
+that two modules share is public and named so.
 """
 
 import ast
@@ -98,3 +100,23 @@ def test_every_private_name_is_read(path):
         if name not in used
     ]
     assert not unread, "private name defined but never read:\n" + "\n".join(unread)
+
+
+def _private_imports(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "zerocap"
+        ):
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.startswith("__"):
+                    yield node.lineno, f"{node.module}.{alias.name}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_private_name_is_imported_from_another_module(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        f"{path.parent.name}/{path.name}:{line}: {name}"
+        for line, name in _private_imports(tree)
+    ]
+    assert not found, "private name imported across modules:\n" + "\n".join(found)

@@ -79,7 +79,7 @@ def test_contains_and_annihilator_agree():
         def annihilated(x):
             v = x.vec()
             return all(
-                sum((row[k] * v[k] for k in row), start=ZERO).is_zero()
+                sum((GaussianRational(*row[k]) * v[k] for k in row), start=ZERO).is_zero()
                 for row in ann
             )
 
@@ -137,7 +137,7 @@ def _as_graph_by_probing(s):
 
 
 def _unit_span(n, coords):
-    return NcGraph(n, [{c: ONE} for c in coords])
+    return NcGraph(n, [{c: (1, 0)} for c in coords])
 
 
 def _rotation_5():
@@ -180,8 +180,10 @@ def _as_graph_corpus():
         n = rng.randint(2, 6)
         coords = sorted(NcGraph.from_graph(random_graph(n, rng.random(), rng)).support)
         a, b = rng.sample(coords, 2)
-        rows = [{c: ONE} for c in coords if c not in (a, b)]
-        rows.append({a: ONE, b: rand_gr(rng) or ONE})
+        rows = [{c: (1, 0)} for c in coords if c not in (a, b)]
+        # the Z[i] numerators of the row (1, x) over their denominator
+        merged = ExactMatrix.from_nonzeros(1, n * n, {a: ONE, b: rand_gr(rng) or ONE})
+        rows.append(merged.numerators()[0])
         spans.append(NcGraph(n, rows))
     for _ in range(30):
         n = rng.randint(1, 4)
