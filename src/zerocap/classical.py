@@ -38,7 +38,7 @@ from .graphs import (
     independence_number,
     strong_product,
 )
-from .theta import lovasz_theta
+from .theta import DEFAULT_TOL, lovasz_theta
 
 VARIANTS = ("unit-diagonal", "nonzero-diagonal")
 
@@ -265,7 +265,7 @@ def best_fitting_matrix(g: Graph) -> tuple[int, FittingMatrix]:
 
 
 def bounds_report(
-    g: Graph, *, theta_tol: float = 1e-7, power_cap: int = DEFAULT_VERTEX_CAP
+    g: Graph, *, theta_tol: float = DEFAULT_TOL, power_cap: int = DEFAULT_VERTEX_CAP
 ) -> ClassicalBounds:
     """Assemble α, ϑ, and certificate-backed 𝓗 and ξ̄ bounds for a graph.
 

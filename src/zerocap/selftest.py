@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -74,7 +73,7 @@ from .ncgraph import (
     full_matrix_system,
     scalar_identity_system,
 )
-from .theta import lovasz_theta
+from .theta import DEFAULT_TOL, lovasz_theta
 
 
 @dataclass(frozen=True)
@@ -140,7 +139,7 @@ def check_classical_anchors(seed: int = 0) -> CheckResult:
 def check_lovasz_theta(seed: int = 0) -> CheckResult:
     """Theta anchors plus alpha <= theta on random graphs."""
     problems: list[str] = []
-    t5 = lovasz_theta(cycle_graph(5), tol=1e-7).value
+    t5 = lovasz_theta(cycle_graph(5), tol=DEFAULT_TOL).value
     if abs(t5 - 2.2360680) > 1e-4:
         problems.append(f"theta(C5)={t5!r}")
     for n in range(1, 11):
@@ -534,6 +533,8 @@ def run_all(seed: int = 0, jobs: int = 1) -> list[CheckResult]:
     """
     if jobs <= 1:
         return [fn(seed) for _, fn in CHECKS]
+    from concurrent.futures import ProcessPoolExecutor  # loaded only for --jobs > 1
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(_run_indexed, i, seed) for i in range(len(CHECKS))]
         return [f.result() for f in futures]

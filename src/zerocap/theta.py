@@ -1,20 +1,23 @@
-"""Lovasz theta via a dense dual barrier method, no external SDP solver.
+"""Lovasz theta by a dense primal-dual interior-point method, no external SDP solver.
 
 The number computed is theta(G) = max <J, X> over X PSD with trace 1 and
 X_ij = 0 on edges.  Its dual is min t such that
-Z(t, y) = t*I + sum_e y_e (E_ij + E_ji) - J  is PSD, and any dual-feasible
-t upper-bounds theta.  We follow the central path of the logdet barrier
-F_eta(t, y) = eta*t - logdet Z with damped Newton steps; on the path the
-duality gap is exactly n/eta, so pushing eta to ~n/tol brackets theta to
-the requested tolerance.
+Z(t, y) = t*I + sum_e y_e (E_ij + E_ji) - J  is PSD.  Both problems start
+strictly feasible, at X = I/n and Z = (n+1)I - J, and every iteration
+takes the HKM direction with Mehrotra's predictor-corrector, stepping 0.95
+of the way to the PSD boundary so that both iterates stay feasible.
 
-The returned witness is a float matrix T with zero diagonal and zero
-entries on edges, built from the primal central point X ~ Z^{-1} by the
-scaling B_ij = X_ij / sqrt(X_ii X_jj), B = I + T: with s = sqrt(diag X),
-s^T B s = <J, X> and |s| = 1, so lambda_max(B) reaches theta at optimality.
-A finished solve stops short of that: on a random G(40, 1/2) at the
-default tol, lambda_min(I + T) is about -2e-6 and lambda_max(I + T) a few
-1e-6 below lower_bound.  Only the bracket is a bound.
+The bracket is read off the last pair of iterates that passed a Cholesky
+test.  The upper end is the t of a positive definite Z(t, y), so t >= theta
+by weak duality.  The lower end is <J, X> / tr X for the positive definite
+primal iterate X with its edge entries set to zero, a feasible point of the
+primal after scaling, so it is <= theta.  Both hold up to float rounding,
+at every iteration, whether or not the solve converged.
+
+The returned witness is the float matrix T = B - I, where
+B = D^{-1/2} X D^{-1/2} and D = diag X.  B is PSD by congruence, has unit
+diagonal and zero entries on edges, and with s = sqrt(diag X),
+s^T B s / |s|^2 = <J, X> / tr X, so lambda_max(I + T) >= lower_bound.
 """
 
 from __future__ import annotations
@@ -33,10 +36,11 @@ DEFAULT_MAX_ITER = 500
 class SdpSolution:
     """Outcome of a theta solve.
 
-    value is the theta estimate; lower_bound/upper_bound bracket the true
-    value (up to floating point), duality_gap = upper - lower.  When
-    converged is False the brackets are still valid but wider than tol.
-    witness is T of the module docstring, near-feasible, not a bound.
+    lower_bound <= theta <= upper_bound up to float rounding (see the module
+    docstring for what each end is); value is their midpoint and
+    duality_gap = upper - lower.  converged means duality_gap <= tol; when
+    it is False the bracket still holds but is wider.  iterations counts
+    primal-dual iterations.  witness is T of the module docstring.
     """
 
     value: float
@@ -48,27 +52,21 @@ class SdpSolution:
     upper_bound: float
 
 
-def _is_pd(z: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(z)
-        return True
-    except np.linalg.LinAlgError:
-        return False
-
-
-def _logdet(z: np.ndarray) -> float:
-    sign, ld = np.linalg.slogdet(z)
-    return ld if sign > 0 else -np.inf
+def _step(li: np.ndarray, d: np.ndarray) -> float:
+    """0.95 of the step from L L^T along d to the PSD boundary, at most 1; li = L^-1."""
+    lam = np.linalg.eigvalsh(li @ d @ li.T)[0]
+    return 1.0 if lam >= -0.95 else -0.95 / lam
 
 
 def lovasz_theta(
     g: Graph, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> SdpSolution:
-    """Compute theta(g) to within tol, with a near-feasible spectral witness.
+    """Bracket theta(g) to within tol, with a PSD spectral witness.
 
-    Never raises on slow convergence: if the Newton iteration budget runs
-    out, the result has converged=False and carries the best bound pair
-    found so far.  Raises ValueError unless tol is positive and finite.
+    Never raises on slow convergence or numerical breakdown: it stops at the
+    last bracket that passed its Cholesky tests, with converged=False when
+    that bracket is wider than tol.  Raises ValueError unless tol is
+    positive and finite.
     """
     if not 0 < tol < float("inf"):
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -80,102 +78,78 @@ def lovasz_theta(
     ei = np.array([e[0] for e in edges], dtype=int)
     ej = np.array([e[1] for e in edges], dtype=int)
     J = np.ones((n, n))
+    b = np.zeros(m + 1)
+    b[0] = 1.0
 
-    t = float(n + 1)
-    y = np.zeros(m)
+    def op(v: np.ndarray) -> np.ndarray:
+        """sum_k v_k A_k, with A_0 = I and A_e = E_ij + E_ji."""
+        d = v[0] * np.eye(n)
+        d[ei, ej] += v[1:]
+        d[ej, ei] += v[1:]
+        return d
 
-    def zmat(tv: float, yv: np.ndarray) -> np.ndarray:
-        z = tv * np.eye(n) - J
-        if m:
-            z[ei, ej] += yv
-            z[ej, ei] += yv
-        return z
+    def adj(r: np.ndarray) -> np.ndarray:
+        """(<A_k, r>)_k."""
+        return np.concatenate(([np.trace(r)], r[ei, ej] + r[ej, ei]))
 
-    gap_target = max(tol, 1e-12) / 2.0
-    eta_final = 2.0 * n / gap_target
-    eta = 1.0
+    off_diagonal = ~np.eye(n, dtype=bool)
+    x = np.eye(n) / n
+    y = (n + 1.0) * b  # (t, y_e)
+    gap_target = max(tol, 1e-12)
     iterations = 0
-    ran_out = False
-
     while True:
-        # Newton-center F_eta at the current point.
-        for _ in range(100):
-            if iterations >= max_iter:
-                ran_out = True
-                break
-            z = zmat(t, y)
-            w = np.linalg.inv(z)
-            grad = np.empty(1 + m)
-            grad[0] = eta - np.trace(w)
-            if m:
-                grad[1:] = -2.0 * w[ei, ej]
-            h = np.empty((1 + m, 1 + m))
-            w2 = w @ w
-            h[0, 0] = np.trace(w2)
-            if m:
-                h[0, 1:] = h[1:, 0] = 2.0 * w2[ei, ej]
-                wii = w[np.ix_(ei, ei)]
-                wjj = w[np.ix_(ej, ej)]
-                wij = w[np.ix_(ei, ej)]
-                wji = w[np.ix_(ej, ei)]
-                h[1:, 1:] = 2.0 * (wii * wjj + wij * wji)
-            try:
-                step = np.linalg.solve(h, -grad)
-            except np.linalg.LinAlgError:
-                ridge = 1e-12 * max(1.0, np.trace(h) / (1 + m))
-                step = np.linalg.solve(h + ridge * np.eye(1 + m), -grad)
-            lam2 = float(-grad @ step)
-            if lam2 <= 1e-18:
-                break
-            alpha = 1.0 if lam2 <= 0.0625 else 1.0 / (1.0 + np.sqrt(lam2))
-            f0 = eta * t - _logdet(z)
-            accepted = False
-            for _ in range(60):
-                t_new = t + alpha * step[0]
-                y_new = y + alpha * step[1:]
-                z_new = zmat(t_new, y_new)
-                if _is_pd(z_new):
-                    f_new = eta * t_new - _logdet(z_new)
-                    if f_new < f0 + 1e-12:
-                        t, y = t_new, y_new
-                        accepted = True
-                        break
-                alpha *= 0.5
-            iterations += 1
-            if not accepted:
-                break
-            if lam2 <= 1e-14:
-                break
-        if ran_out or eta >= eta_final:
+        x[ei, ej] = x[ej, ei] = 0.0
+        z = op(y) - J
+        try:
+            lx, lz = np.linalg.cholesky(x), np.linalg.cholesky(z)
+        except np.linalg.LinAlgError:
             break
-        eta = min(eta * 10.0, eta_final)
+        # <J, X> / tr X as 1 + off-diagonal sum / tr X: exact on a diagonal X.
+        upper, lower, best = y[0], 1.0 + x[off_diagonal].sum() / np.trace(x), x
+        if upper - lower <= gap_target or iterations >= max_iter:
+            break
+        lix, liz = np.linalg.inv(lx), np.linalg.inv(lz)
+        w = liz.T @ liz
+        # Schur matrix M_kl = tr(A_k X A_l W), W = Z^{-1}; for edges ij, kl
+        # it is X_jk W_il + X_il W_jk + X_jl W_ik + X_ik W_jl.
+        schur = np.empty((m + 1, m + 1))
+        schur[0, 0] = np.sum(x * w)
+        xw = x @ w
+        schur[0, 1:] = schur[1:, 0] = xw[ei, ej] + xw[ej, ei]
+        xi, xj, wi, wj = x[ei], x[ej], w[ei], w[ej]
+        cross = xj[:, ei] * wi[:, ej]
+        schur[1:, 1:] = cross + cross.T + xj[:, ej] * wi[:, ei] + xi[:, ei] * wj[:, ej]
+        residual = b - adj(x)
 
-    # Bounds: t is dual feasible, so theta <= t; on the central path the
-    # primal value sits n/eta below it.
-    upper = t
-    lower = t - n / eta
-    value = 0.5 * (upper + lower)
-    gap = upper - lower
+        # HKM direction towards R: dX = sym(R - X dZ W) with dZ = op(dy), and
+        # <A_k, dX> = b_k - <A_k, X>, so M dy = adj(R) - residual.  The
+        # predictor aims at R = -X, the corrector at sigma mu W - X - dXa dZa W
+        # (Mehrotra's centring sigma and second-order term).
+        def direction(r: np.ndarray):
+            dy = np.linalg.solve(schur, adj(r) - residual)
+            dz = op(dy)
+            dx = r - x @ dz @ w
+            return 0.5 * (dx + dx.T), dy, dz
 
-    # Witness in the spectral-norm form, from the primal central point.
-    w = np.linalg.inv(zmat(t, y))
-    x = w / np.trace(w)
-    d = np.sqrt(np.clip(np.diag(x), 0.0, None))
-    b = np.eye(n)
-    scale = np.max(d) if n else 1.0
-    for r in range(n):
-        for c in range(n):
-            if r == c or g.has_edge(r, c):
-                continue
-            if d[r] > 1e-12 * scale and d[c] > 1e-12 * scale:
-                b[r, c] = x[r, c] / (d[r] * d[c])
-    witness = b - np.eye(n)
+        try:
+            dxa, _, dza = direction(-x)
+            mu = np.sum(x * z) / n
+            ax, az = _step(lix, dxa), _step(liz, dza)
+            sigma = (np.sum((x + ax * dxa) * (z + az * dza)) / (n * mu)) ** 3
+            dx, dy, dz = direction(sigma * mu * w - x - dxa @ dza @ w)
+            x, y = x + _step(lix, dx) * dx, y + _step(liz, dz) * dy
+        except np.linalg.LinAlgError:
+            break
+        iterations += 1
 
+    d = 1.0 / np.sqrt(np.diag(best))
+    witness = best * np.outer(d, d)
+    np.fill_diagonal(witness, 0.0)
     return SdpSolution(
-        value=value,
+        value=0.5 * (upper + lower),
         witness=witness,
-        duality_gap=gap,
-        converged=not ran_out and gap <= tol,
+        duality_gap=upper - lower,
+        converged=upper - lower <= tol,
         iterations=iterations,
         lower_bound=lower,
         upper_bound=upper,

@@ -89,6 +89,12 @@ def test_graph_theta(c5_file, capsys):
     assert abs(data["theta"] - 5**0.5) < 1e-4
 
 
+def test_graph_theta_below_float_precision_exits_0(c5_file, capsys):
+    assert main(["graph", "theta", c5_file, "--tol", "1e-13", "--json"]) == 0
+    lower, upper = json.loads(capsys.readouterr().out)["bracket"]
+    assert lower <= 5**0.5 <= upper
+
+
 def test_graph_power_round_trips(c5_file, capsys):
     assert main(["graph", "power", c5_file, "-k", "2"]) == 0
     out = capsys.readouterr().out
@@ -646,6 +652,26 @@ def test_jobs_is_a_selftest_option_only(c5_file):
     with pytest.raises(SystemExit) as exc:
         main(["graph", "alpha", c5_file, "--jobs", "2"])
     assert exc.value.code == 2
+
+
+def test_selftest_jobs_keeps_registry_order(monkeypatch):
+    # A thread pool stands in for the process pool: the branch that imports
+    # the pool on demand runs, and no worker process is started.
+    import concurrent.futures
+
+    import zerocap.selftest as selftest
+
+    checks = tuple(
+        (name, lambda seed, name=name: selftest.CheckResult(name, True, str(seed)))
+        for name in ("first", "second", "third")
+    )
+    monkeypatch.setattr(selftest, "CHECKS", checks)
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", concurrent.futures.ThreadPoolExecutor
+    )
+    serial = selftest.run_all(seed=3)
+    assert [r.name for r in serial] == ["first", "second", "third"]
+    assert selftest.run_all(seed=3, jobs=2) == serial
 
 
 def test_graph_report_honours_the_vertex_cap_of_the_config(tmp_path, capsys):

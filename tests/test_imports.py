@@ -13,6 +13,9 @@ that two modules share is public and named so.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,3 +123,18 @@ def test_no_private_name_is_imported_from_another_module(path):
         for line, name in _private_imports(tree)
     ]
     assert not found, "private name imported across modules:\n" + "\n".join(found)
+
+
+def test_cli_import_loads_no_process_pool():
+    # The pool is for `selftest paper --jobs N` only; every other command
+    # would pay for importing it at start-up.
+    probe = (
+        "import sys, zerocap.cli; "
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
+        "if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
