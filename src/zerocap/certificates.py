@@ -16,7 +16,8 @@ sums, unitary conjugation, pushing certificates through cohomomorphisms
 (completely positive trace-preserving compressions), compression lower
 bounds from independent systems — plus a numeric-search front end that
 only ever returns exactly verified output, and a tiny-scale exact
-decision procedure backed by the groebner module.
+decision procedure backed by the groebner module.  ``haemers_bound``
+chains these into the two-sided bound on H(S).
 """
 
 from __future__ import annotations
@@ -1002,7 +1003,7 @@ def haemers_lower(s: NcGraph, *, seed: int = 0) -> LowerBoundReport:
     )
 
 
-# -- exact decision at tiny scale --------------------------------------
+# -- exact decision at tiny scale, and the two-sided bound -------------
 
 
 @dataclass(frozen=True)
@@ -1053,7 +1054,7 @@ def haemers_exact_decide(
         if not check_cofactors(system.polynomials, decision.cofactors):
             raise RuntimeError(
                 "engine emitted an invalid infeasibility certificate"
-            )  # pragma: no cover - buchberger re-checks internally
+            )  # pragma: no cover - the only re-check: buchberger never runs one
         return ExactDecision("infeasible", None, decision)
     if decision.status == "timeout":
         return ExactDecision("unknown", None, decision)
@@ -1063,3 +1064,73 @@ def haemers_exact_decide(
     if cert is not None:
         return ExactDecision("feasible", cert, decision)
     return ExactDecision("unknown-feasible", None, decision)
+
+
+def haemers_bound(
+    s: NcGraph,
+    *,
+    k_max: Optional[int] = None,
+    m_schedule: Optional[Sequence[int]] = None,
+    budget: int = 8,
+    exact_budget: Optional[float] = None,
+    seed: int = 0,
+) -> tuple[LowerBoundReport, HaemersCertificate, str, list[str]]:
+    """Bound H(s) from both sides: (lower report, certificate, method, notes).
+
+    The lower report is haemers_lower's.  The upper bound is constructed
+    before it is searched: the lowest-rank of the full-algebra certificate
+    (when s is all of M_n), the identity, and for a graph span the lifted
+    best fitting matrix.  The float search (haemers_upper_search over
+    m_schedule with ``budget`` restarts) then runs only for k from the
+    lower bound up to min(k_max, that rank - 1), k_max defaulting to n, and
+    its first certificate wins.  The method names what gave the upper bound:
+    "search", "fitting-lift", "identity" or "full-algebra".
+
+    With exact_budget (Buchberger's wall clock in seconds; None runs no
+    exact pass), every rank k below the certificate's is decided exactly at
+    m = 1 and m = 2, skipping a system of more than
+    EXACT_DECIDE_VAR_GUIDELINE real variables, and a feasible decision
+    replaces the certificate.  Each note reads "rank k: m=1: <status>,
+    m=2: <status>".  The returned certificate has passed
+    verify_certificate.  ValueError, before any other work, when s lacks
+    the identity: the diagonal blocks of a certificate sum to I inside s,
+    so none exists.  ValueError too when the schedule has no usable m.
+    """
+    if not s.contains_identity:
+        raise ValueError("the span lacks the identity, so it has no certificate")
+    schedule = block_count_schedule(s.n, m_schedule)
+    lower = haemers_lower(s, seed=seed)
+    k_max = s.n if k_max is None else k_max
+    # construct first; the search can only help below the constructed rank
+    cert, method = constructed_certificate(s)
+    rank = verify_certificate(s, cert)
+    for k in range(lower.value, min(k_max, rank - 1) + 1):
+        found = haemers_upper_search(
+            s,
+            k,
+            m_schedule=schedule,
+            budget=budget,
+            seed=seed,
+        )
+        if found is not None:
+            cert, method = found, "search"
+            rank = verify_certificate(s, cert)
+            break
+
+    exact_notes: list[str] = []
+    if exact_budget is not None:
+        for k in range(1, rank):
+            verdicts = []
+            for m in (1, 2):
+                if factor_variable_count(s.n, k, m) > EXACT_DECIDE_VAR_GUIDELINE:
+                    verdicts.append(f"m={m}: skipped (too many variables)")
+                    continue
+                decision = haemers_exact_decide(
+                    s, k, m, time_budget=exact_budget, seed=seed
+                )
+                verdicts.append(f"m={m}: {decision.status}")
+                if decision.certificate is not None:
+                    cert, method = decision.certificate, "search"
+                    rank = verify_certificate(s, cert)
+            exact_notes.append(f"rank {k}: " + ", ".join(verdicts))
+    return lower, cert, method, exact_notes

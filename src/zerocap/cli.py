@@ -23,11 +23,8 @@ Numbers printed with provenance ``certificate:<path>`` are re-derived
 from the serialized file alone — the in-memory object that produced the
 file is never trusted for the printed value.
 
-``nc haemers`` constructs before it searches: it takes the lowest-rank of
-the full-algebra certificate (when the span is all of M_n), the identity,
-and for a graph span the lifted best fitting matrix, then runs the float
-search only for k below that rank.  Its output names the method that
-gave the upper bound (search, fitting-lift, identity or full-algebra).
+``nc haemers`` prints what ``certificates.haemers_bound`` returns, with
+the upper bound re-derived from the certificate it writes to disk.
 The pentagon, for example:
 
     zerocap nc build --from-graph c5.dimacs -o sc5.json
@@ -44,19 +41,14 @@ from pathlib import Path
 from typing import Optional
 
 from .certificates import (
-    EXACT_DECIDE_VAR_GUIDELINE,
     HaemersCertificate,
     TpMapCertificate,
     VerificationError,
-    block_count_schedule,
     cohomomorphism_apply,
     conjugate_certificate,
-    constructed_certificate,
     direct_sum_certificate,
     from_tp_map,
-    haemers_exact_decide,
-    haemers_lower,
-    haemers_upper_search,
+    haemers_bound,
     lift_graph_certificate,
     project_to_graph_certificate,
     tensor_certificate,
@@ -73,7 +65,6 @@ from .classical import (
 )
 from .exactlinalg import ExactMatrix, parse_scalar
 from .graphs import DEFAULT_VERTEX_CAP, Graph, independence_number, strong_power
-from .groebner import factor_variable_count
 from .ncgraph import (
     ClassicalChannel,
     NcGraph,
@@ -291,41 +282,14 @@ def _cmd_nc_haemers(args: argparse.Namespace, cfg: CliConfig) -> int:
     if args.k_max is not None and args.k_max < 1:
         raise ValueError(f"--k-max must be positive, got {args.k_max}")
     s = _load_ncgraph(args.file)
-    schedule = block_count_schedule(s.n, _parse_schedule(args.m_schedule))
-    lower = haemers_lower(s, seed=args.seed)
-    k_max = args.k_max if args.k_max is not None else s.n
-    # construct first; the search can only help below the constructed rank
-    cert, method = constructed_certificate(s)
-    rank = verify_certificate(s, cert)
-    for k in range(lower.value, min(k_max, rank - 1) + 1):
-        found = haemers_upper_search(
-            s,
-            k,
-            m_schedule=schedule,
-            budget=args.budget,
-            seed=args.seed,
-        )
-        if found is not None:
-            cert, method = found, "search"
-            rank = verify_certificate(s, cert)
-            break
-
-    exact_notes: list[str] = []
-    if args.exact_tiny:
-        for k in range(1, rank):
-            verdicts = []
-            for m in (1, 2):
-                if factor_variable_count(s.n, k, m) > EXACT_DECIDE_VAR_GUIDELINE:
-                    verdicts.append(f"m={m}: skipped (too many variables)")
-                    continue
-                decision = haemers_exact_decide(
-                    s, k, m, time_budget=cfg.groebner_budget, seed=args.seed
-                )
-                verdicts.append(f"m={m}: {decision.status}")
-                if decision.certificate is not None:
-                    cert, method = decision.certificate, "search"
-                    rank = verify_certificate(s, cert)
-            exact_notes.append(f"rank {k}: " + ", ".join(verdicts))
+    lower, cert, method, exact_notes = haemers_bound(
+        s,
+        k_max=args.k_max,
+        m_schedule=_parse_schedule(args.m_schedule),
+        budget=args.budget,
+        exact_budget=cfg.groebner_budget if args.exact_tiny else None,
+        seed=args.seed,
+    )
 
     cert_path = (
         Path(args.cert_out)

@@ -331,7 +331,6 @@ def _reduce_full(
 
 def buchberger(
     gens: Sequence[Polynomial],
-    degree_cap: int = DEFAULT_DEGREE_CAP,
     time_budget: float = DEFAULT_TIME_BUDGET,
 ) -> IdealDecision:
     """Decide whether gens have a common complex root, with certificates.
@@ -339,9 +338,9 @@ def buchberger(
     Normal pair selection in degrevlex: pairs come off a heap keyed on
     (degrevlex key of lcm, (i, j)), so the smallest lcm goes first and
     ties break on the index pair.  Product and chain criteria, cofactor
-    tracking throughout.  degree_cap bounds the degree of any new basis
-    polynomial and time_budget the wall clock; exceeding either yields
-    status "timeout", which decides nothing.
+    tracking throughout.  DEFAULT_DEGREE_CAP bounds the degree of any
+    new basis polynomial and time_budget the wall clock; exceeding either
+    yields status "timeout", which decides nothing.
     """
     t0 = time.monotonic()
     ngens = len(gens)
@@ -439,7 +438,7 @@ def buchberger(
         r, rep = _reduce_full(spoly, srep, basis)
         if r.is_zero():
             continue
-        if not r.is_constant() and r.degree() > degree_cap:
+        if not r.is_constant() and r.degree() > DEFAULT_DEGREE_CAP:
             return decision("timeout", basis, None, pairs_done)
         cof = add_to_basis(r, rep)
         if cof is not None:

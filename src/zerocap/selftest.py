@@ -526,7 +526,8 @@ def run_check(name: str, seed: int = 0) -> CheckResult:
 
 
 def run_all(seed: int = 0, jobs: int = 1) -> list[CheckResult]:
-    """Run every check; with jobs > 1, fan out over a process pool.
+    """Run every check; with jobs > 1, fan out over a process pool of at
+    most one worker per check.
 
     Results always come back in registry order, whatever the completion
     order, so output stays deterministic.
@@ -535,6 +536,6 @@ def run_all(seed: int = 0, jobs: int = 1) -> list[CheckResult]:
         return [fn(seed) for _, fn in CHECKS]
     from concurrent.futures import ProcessPoolExecutor  # loaded only for --jobs > 1
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(CHECKS))) as pool:
         futures = [pool.submit(_run_indexed, i, seed) for i in range(len(CHECKS))]
         return [f.result() for f in futures]

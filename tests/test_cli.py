@@ -12,6 +12,7 @@ from zerocap.certificates import (
     conjugate_certificate,
     direct_sum_certificate,
     full_matrix_certificate,
+    haemers_bound,
     haemers_upper_search,
     identity_certificate,
     independent_witness_kraus,
@@ -39,6 +40,7 @@ from zerocap.ncgraph import (
     diagonal_system,
     direct_sum_nc,
     full_matrix_system,
+    matrix_unit,
     scalar_identity_system,
 )
 
@@ -179,7 +181,7 @@ def _record_search(monkeypatch):
         calls.append(k)
         return haemers_upper_search(s, k, **kwargs)
 
-    monkeypatch.setattr(cli_module, "haemers_upper_search", recording)
+    monkeypatch.setattr("zerocap.certificates.haemers_upper_search", recording)
     return calls
 
 
@@ -295,7 +297,7 @@ def test_nc_haemers_takes_the_search_certificate_below_the_constructed_rank(
         calls.append(k)
         return found
 
-    monkeypatch.setattr(cli_module, "haemers_upper_search", stub)
+    monkeypatch.setattr("zerocap.certificates.haemers_upper_search", stub)
     span = _write_span(tmp_path, "rot.json", conjugate_by_unitary(base, u))
     lower, upper, cert_out = _nc_haemers_json(span, tmp_path, capsys, "--m-schedule", "1,2")
     assert calls == [2]
@@ -303,6 +305,76 @@ def test_nc_haemers_takes_the_search_certificate_below_the_constructed_rank(
     assert (upper["method"], upper["m"]) == ("search", 2)
     assert main(["nc", "verify-cert", span, str(cert_out)]) == 0
     assert "rank 2, OK" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "span, kwargs, flags",
+    [
+        pytest.param(
+            NcGraph.from_graph(cycle_graph(5)),
+            {"m_schedule": [1, 2], "budget": 2, "k_max": 3},
+            ["--m-schedule", "1,2", "--budget", "2", "--k-max", "3"],
+            id="pentagon",
+        ),
+        *(
+            pytest.param(corner_family(Fraction(p, 4)), {"m_schedule": [1, 2]},
+                         ["--m-schedule", "1,2"], id=f"corner-{p}/4")
+            for p in (1, 2, 3)
+        ),
+        pytest.param(
+            scalar_identity_system(2),
+            {"exact_budget": cli_module.CliConfig().groebner_budget},
+            ["--exact-tiny"],
+            id="ci2-exact",
+        ),
+    ],
+)
+def test_haemers_bound_is_what_nc_haemers_prints(span, kwargs, flags, tmp_path, capsys):
+    lower, cert, method, notes = haemers_bound(span, **kwargs)
+    path = _write_span(tmp_path, "span.json", span)
+    cert_out = tmp_path / "cert.json"
+    assert main(["nc", "haemers", path, "--json", "--cert-out", str(cert_out), *flags]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["lower"] == json.loads(json.dumps(lower.to_json_dict()))
+    assert payload["upper"] == {
+        "rank": verify_certificate(span, cert),
+        "k": cert.k,
+        "m": cert.m,
+        "method": method,
+        "provenance": f"certificate:{cert_out}",
+    }
+    assert payload["exact_tiny"] == notes
+    assert cert_out.read_text() == json.dumps(cert.to_json_dict(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "span",
+    [
+        pytest.param(
+            NcGraph.span_from_generators(
+                3, [matrix_unit(3, 0, 0), matrix_unit(3, 0, 1) + matrix_unit(3, 1, 2)]
+            ),
+            id="e11-and-e12+e23",
+        ),
+        pytest.param(NcGraph(2, []), id="empty"),
+    ],
+)
+def test_nc_haemers_rejects_a_span_without_the_identity(span, tmp_path, capsys, monkeypatch):
+    # the diagonal blocks of a certificate sum to I inside the span, so none
+    # exists and nothing is worth computing
+    def fail(*args, **kwargs):
+        raise AssertionError("bound computed for a span without the identity")
+
+    monkeypatch.setattr("zerocap.certificates.haemers_lower", fail)
+    monkeypatch.setattr("zerocap.certificates.haemers_upper_search", fail)
+    with pytest.raises(ValueError, match="identity"):
+        haemers_bound(span)
+    path = _write_span(tmp_path, "span.json", span)
+    cert_out = tmp_path / "cert.json"
+    assert main(["nc", "haemers", path, "--cert-out", str(cert_out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not cert_out.exists()
 
 
 @pytest.mark.parametrize("budget", ["0", "-1"])
@@ -665,13 +737,21 @@ def test_selftest_jobs_keeps_registry_order(monkeypatch):
         (name, lambda seed, name=name: selftest.CheckResult(name, True, str(seed)))
         for name in ("first", "second", "third")
     )
+    pool_sizes = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+            super().__init__(max_workers=2)
+
     monkeypatch.setattr(selftest, "CHECKS", checks)
-    monkeypatch.setattr(
-        concurrent.futures, "ProcessPoolExecutor", concurrent.futures.ThreadPoolExecutor
-    )
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     serial = selftest.run_all(seed=3)
     assert [r.name for r in serial] == ["first", "second", "third"]
     assert selftest.run_all(seed=3, jobs=2) == serial
+    # no more workers than checks, however many jobs are asked for
+    assert selftest.run_all(seed=3, jobs=10**6) == serial
+    assert pool_sizes == [2, 3]
 
 
 def test_graph_report_honours_the_vertex_cap_of_the_config(tmp_path, capsys):

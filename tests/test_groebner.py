@@ -171,10 +171,11 @@ def test_constant_generator_shortcut():
     assert dec.cofactors[1] == Polynomial.constant(1, Fraction(1, 3))
 
 
-def test_degree_cap_triggers_timeout():
+def test_degree_cap_triggers_timeout(monkeypatch):
     gens = [P("x1*x2 - 1", 2), P("x1^2 - x2", 2)]
-    assert buchberger(gens, degree_cap=1).status == "timeout"
     assert buchberger(gens).status == "has-common-root-or-unknown"
+    monkeypatch.setattr("zerocap.groebner.DEFAULT_DEGREE_CAP", 1)
+    assert buchberger(gens).status == "timeout"
 
 
 def test_time_budget_triggers_timeout():

@@ -138,3 +138,12 @@ def test_cli_import_loads_no_process_pool():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_leaves_the_bound_chain_to_certificates():
+    # nc haemers calls certificates.haemers_bound, the one home of the chain
+    import zerocap.cli as cli
+
+    chain = ("haemers_lower", "haemers_upper_search", "constructed_certificate",
+             "haemers_exact_decide")
+    assert [name for name in chain if hasattr(cli, name)] == []
