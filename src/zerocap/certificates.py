@@ -41,6 +41,7 @@ from .exactlinalg import (
     ExactMatrix,
     GaussianInt,
     GaussianRational,
+    IntegerRow,
     ONE,
     column_blocks,
     hstack,
@@ -48,6 +49,7 @@ from .exactlinalg import (
     require_list,
     rank_factorization,
     rationalize_array,
+    reduce_row,
 )
 from .groebner import (
     DEFAULT_TIME_BUDGET,
@@ -75,6 +77,8 @@ RANDOM_COEFF_MAGNITUDE = 3
 ALS_ITERATIONS = 80
 LOWER_SEARCH_BUDGET = 10
 DECIDE_SEARCH_BUDGET = 4
+#: Default restarts per (k, m) of haemers_upper_search, haemers_bound, nc haemers.
+DEFAULT_SEARCH_BUDGET = 8
 
 #: Restarts of one block count that haemers_upper_search runs as one stacked
 #: batch; its peak memory grows with this, never with the restart budget.
@@ -85,7 +89,7 @@ class VerificationError(ValueError):
     """A certificate failed an exact check.
 
     ``kind`` is a stable machine-readable code ("block-membership",
-    "trace", "rank", "psd", "factor-mismatch", "shape", "empty-span",
+    "trace", "rank", "factor-mismatch", "shape", "empty-span",
     "kraus", "cohomomorphism"); ``where`` locates the violation when
     one index makes sense (e.g. a block pair).
     """
@@ -206,13 +210,10 @@ class TpMapCertificate:
 
 
 def _product_rank(c: ExactMatrix, d: ExactMatrix) -> int:
-    # rank(C^dag D) without materializing a Bareiss run on the full mn x mn
-    # product: factor C^dag = P Q with P of full column rank, then
-    # rank(C^dag D) = rank(Q D) and Q D has at most k rows.
-    p, q = rank_factorization(c.conj_transpose())
-    if q.rows == 0:
-        return 0
-    return (q @ d).rank()
+    # C = P Q with P the pivot columns of C and Q of full row rank, so
+    # C^dag = Q^dag P^dag with Q^dag injective: rank(C^dag D) = rank(P^dag D),
+    # and P^dag D has at most k rows.
+    return (rank_factorization(c)[0].H @ d).rank()
 
 
 def verify_certificate(s: NcGraph, cert: HaemersCertificate) -> int:
@@ -220,7 +221,8 @@ def verify_certificate(s: NcGraph, cert: HaemersCertificate) -> int:
 
     Checks, over Q(i) with no tolerances: every block of B = C^dag D
     lies in s, the diagonal blocks sum to the identity, and
-    rank(B) <= k.  Raises VerificationError naming the first violation.
+    rank(B) <= k, reading B once as one Z[i] row per block.  Raises
+    VerificationError naming the first violation, blocks in row-major order.
     """
     if s.dim == 0:
         raise VerificationError("span has empty basis", kind="empty-span")
@@ -235,18 +237,24 @@ def verify_certificate(s: NcGraph, cert: HaemersCertificate) -> int:
             "the rank bound is still checked but loses its capacity meaning",
             stacklevel=2,
         )
-    n = cert.n
+    n, m = cert.n, cert.m
+    b, den = cert.matrix().numerators()
+    # blocks[i * m + j] holds block (i, j) of B, times den
+    blocks: list[IntegerRow] = [{} for _ in range(m * m)]
+    for idx, x in b.items():
+        (i, p), (j, q) = (divmod(r, n) for r in divmod(idx, m * n))
+        blocks[i * m + j][p * n + q] = x
+    for idx, row in enumerate(blocks):
+        if reduce_row(row, s.integer_rows, s.scale):
+            i, j = divmod(idx, m)
+            raise VerificationError(
+                f"block ({i}, {j}) of C^dag D lies outside the span",
+                kind="block-membership",
+                where=(i, j),
+            )
     total = ExactMatrix.zeros(n, n)
-    for i, c_i in enumerate(column_blocks(cert.C, n)):
-        for j, blk in enumerate(column_blocks(c_i.conj_transpose() @ cert.D, n)):
-            if not s.contains(blk):
-                raise VerificationError(
-                    f"block ({i}, {j}) of C^dag D lies outside the span",
-                    kind="block-membership",
-                    where=(i, j),
-                )
-            if i == j:
-                total = total + blk
+    for i in range(m):
+        total = total + ExactMatrix.from_numerators(n, n, blocks[i * m + i], den)
     if total != ExactMatrix.identity(n):
         raise VerificationError(
             "diagonal blocks of C^dag D do not sum to the identity",
@@ -263,17 +271,15 @@ def verify_certificate(s: NcGraph, cert: HaemersCertificate) -> int:
 def verify_xi_certificate(s: NcGraph, cert: HaemersCertificate) -> int:
     """Check a positive-semidefinite certificate (C = D, so B = C^dag C >= 0).
 
-    The PSD feasible region sits inside the general one, so the value also
-    upper-bounds the plain rank bound; returns rank(B).
+    C^dag C is PSD for every C, so the one check beyond verify_certificate
+    is C = D.  The PSD feasible region sits inside the general one, so the
+    value also upper-bounds the plain rank bound; returns rank(B).
     """
     if cert.C != cert.D:
         raise VerificationError(
             "positive certificate requires identical factors C = D",
             kind="factor-mismatch",
         )
-    if not cert.matrix().is_psd():
-        # cannot happen for C = D; kept as a cross-check of the arithmetic
-        raise VerificationError("C^dag C failed the PSD check", kind="psd")
     return verify_certificate(s, cert)
 
 
@@ -410,24 +416,12 @@ def project_to_graph_certificate(
     if g is None:
         raise ValueError("span is not a graph span")
     verify_certificate(s, cert)
-    n, m = cert.n, cert.m
-    b = cert.matrix()
-    pick: list[int] = []
-    for i in range(n):
-        for j in range(m):
-            if not b[j * n + i, j * n + i].is_zero():
-                pick.append(j)
-                break
-        else:  # pragma: no cover - impossible once the trace check passed
-            raise VerificationError(
-                f"no block carries diagonal weight at vertex {i}", kind="trace"
-            )
-    rows = [
-        [b[pick[i] * n + i, pick[l] * n + l] for l in range(n)] for i in range(n)
-    ]
-    fm = FittingMatrix(
-        graph=g, variant="nonzero-diagonal", b=ExactMatrix.from_rows(rows)
-    )
+    n, b = cert.n, cert.matrix()
+    nz, mn = b.numerators()[0], cert.m * n
+    # row jn + i of B for the first block j with B[jn + i, jn + i] != 0
+    pick = [next(j * n + i for j in range(cert.m) if (j * n + i) * (mn + 1) in nz)
+            for i in range(n)]
+    fm = FittingMatrix(graph=g, variant="nonzero-diagonal", b=b.submatrix(pick, pick))
     verify_fitting(fm)
     return fm
 
@@ -660,12 +654,9 @@ def compression_lower_bound(
         raise VerificationError(
             "vector system is not independent for the span", kind="independence"
         )
-    n, m, ell = cert.n, cert.m, sys_.size
-    u_cols = [[sys_.vectors[j][p, 0] for j in range(ell)] for p in range(n)]
-    u = ExactMatrix.from_rows(u_cols)
-    w = ExactMatrix.identity(m).kron(u)
-    compressed = w.conj_transpose() @ cert.matrix() @ w
-    rank_c = compressed.rank()
+    ell = sys_.size
+    w = ExactMatrix.identity(cert.m).kron(hstack(sys_.vectors))
+    rank_c = _product_rank(cert.C @ w, cert.D @ w)
     if not ell <= rank_c <= rank_b:  # pragma: no cover - consistency guard
         raise RuntimeError(
             f"compression sandwich violated: {ell} <= {rank_c} <= {rank_b} is false"
@@ -867,7 +858,7 @@ def haemers_upper_search(
     s: NcGraph,
     k: int,
     m_schedule: Optional[Sequence[int]] = None,
-    budget: int = 8,
+    budget: int = DEFAULT_SEARCH_BUDGET,
     *,
     seed: int = 0,
 ) -> Optional[HaemersCertificate]:
@@ -1071,7 +1062,7 @@ def haemers_bound(
     *,
     k_max: Optional[int] = None,
     m_schedule: Optional[Sequence[int]] = None,
-    budget: int = 8,
+    budget: int = DEFAULT_SEARCH_BUDGET,
     exact_budget: Optional[float] = None,
     seed: int = 0,
 ) -> tuple[LowerBoundReport, HaemersCertificate, str, list[str]]:

@@ -102,11 +102,11 @@ def _gram_fitting(g: Graph, vectors: Sequence[ExactMatrix]) -> tuple[int, Fittin
     """Verify an orthogonal representation; return its Gram rank and fitting matrix.
 
     Vectors at non-adjacent vertices must be exactly orthogonal.  Norms
-    are nonzero, so the Gram matrix is a nonzero-diagonal fitting matrix.
-    As a cross-check it is confirmed positive semidefinite with rank at
-    most the common dimension, which is what makes the dimension an
-    upper-bound certificate for the positive-semidefinite variant of the
-    fitting-matrix program.
+    are nonzero, so the Gram matrix V^dag V is a nonzero-diagonal fitting
+    matrix; it is positive semidefinite with rank at most the common
+    dimension k for any k x n matrix V, which is what makes the dimension
+    an upper-bound certificate for the positive-semidefinite variant of
+    the fitting-matrix program.
     """
     if len(vectors) != g.n:
         raise ValueError(f"need {g.n} vectors, got {len(vectors)}")
@@ -124,20 +124,15 @@ def _gram_fitting(g: Graph, vectors: Sequence[ExactMatrix]) -> tuple[int, Fittin
                 raise ValueError(
                     f"vectors {i} and {j} are not orthogonal across the non-edge"
                 )
-    if not gram.is_psd():
-        raise ValueError("Gram matrix is not positive semidefinite")
-    rank = gram.rank()
-    if rank > k:
-        raise ValueError("Gram rank exceeds the ambient dimension")
-    return rank, FittingMatrix(g, "nonzero-diagonal", gram)
+    return gram.rank(), FittingMatrix(g, "nonzero-diagonal", gram)
 
 
 def orthogonal_rank_verify(g: Graph, vectors: Sequence[ExactMatrix]) -> int:
     """Verify a vector-per-vertex orthogonal representation; return its dimension.
 
-    Vectors at non-adjacent vertices must be exactly orthogonal, and the
-    Gram matrix must be positive semidefinite of rank at most the common
-    dimension (the checks of _gram_fitting).
+    The vectors must be nonzero, share one shape and be exactly orthogonal
+    at non-adjacent vertices (the checks of _gram_fitting); their Gram
+    matrix is then positive semidefinite of rank at most that dimension.
     """
     _gram_fitting(g, vectors)
     return vectors[0].rows

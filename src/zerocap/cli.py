@@ -17,7 +17,8 @@ graph-n-cap is the vertex cap of the exact independence number in
 ``graph alpha`` and ``graph report``; the latter takes alpha of the strong
 square only when n^2 fits under it.  ``selftest paper`` also takes
 ``--jobs``, the one place the CLI fans work out.  Usage problems exit 2; a failed verification exits 1 with a
-JSON diagnostic on standard error; success exits 0.
+JSON diagnostic on standard error; success exits 0.  Each distinct warning
+of a command follows as one ``warning: <message>`` line on standard error.
 
 Numbers printed with provenance ``certificate:<path>`` are re-derived
 from the serialized file alone — the in-memory object that produced the
@@ -36,11 +37,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from .certificates import (
+    DEFAULT_SEARCH_BUDGET,
     HaemersCertificate,
     TpMapCertificate,
     VerificationError,
@@ -65,6 +68,7 @@ from .classical import (
 )
 from .exactlinalg import ExactMatrix, parse_scalar
 from .graphs import DEFAULT_VERTEX_CAP, Graph, independence_number, strong_power
+from .groebner import DEFAULT_TIME_BUDGET
 from .ncgraph import (
     ClassicalChannel,
     NcGraph,
@@ -85,7 +89,7 @@ class CliConfig:
 
     graph_n_cap: int = DEFAULT_VERTEX_CAP
     sdp_tol: float = DEFAULT_TOL
-    groebner_budget: float = 60.0
+    groebner_budget: float = DEFAULT_TIME_BUDGET
 
 
 def _load_config(path: Optional[str]) -> CliConfig:
@@ -507,7 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="operator span JSON")
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--m-schedule", help="comma-separated block counts, e.g. 1,2,4")
-    p.add_argument("--budget", type=int, default=8, help="search restarts per (k, m)")
+    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET,
+                   help="search restarts per (k, m)")
     p.add_argument("--exact-tiny", action="store_true",
                    help="also run the exact engine below the found rank (m <= 2)")
     p.add_argument("--cert-out", help="certificate path (default <input>-cert.json)")
@@ -584,19 +589,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        cfg = _load_config(args.config)
-        return args.handler(args, cfg)
-    except VerificationError as exc:
-        print(
-            json.dumps({"error": "verification", "kind": exc.kind,
-                        "where": exc.where, "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return 1
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            cfg = _load_config(args.config)
+            return args.handler(args, cfg)
+        except VerificationError as exc:
+            print(
+                json.dumps({"error": "verification", "kind": exc.kind,
+                            "where": exc.where, "message": str(exc)}),
+                file=sys.stderr,
+            )
+            return 1
+        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        finally:  # after the diagnostic, so stderr still starts with it
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -183,9 +183,7 @@ def check_small_system_values(seed: int = 0) -> CheckResult:
         if upper != n or lower.value != n:
             problems.append(f"scalar span n={n}: got [{lower.value}, {upper}]")
     for m in (1, 2):
-        decision = haemers_exact_decide(
-            scalar_identity_system(2), 1, m, time_budget=60.0, seed=seed
-        )
+        decision = haemers_exact_decide(scalar_identity_system(2), 1, m, seed=seed)
         if decision.status != "infeasible":
             problems.append(f"scalar span n=2: rank 1 at m={m} not refuted")
 
@@ -443,7 +441,7 @@ def check_exact_decision_engine(seed: int = 0) -> CheckResult:
     ):
         for m in (1, 2):
             t0 = time.monotonic()
-            decision = haemers_exact_decide(s, 1, m, time_budget=60.0, seed=seed)
+            decision = haemers_exact_decide(s, 1, m, seed=seed)
             seconds = time.monotonic() - t0
             if decision.status != "infeasible":
                 problems.append(f"{label} m={m}: status {decision.status}")
@@ -454,7 +452,7 @@ def check_exact_decision_engine(seed: int = 0) -> CheckResult:
             refuted.append(f"{label} m={m} in {seconds:.1f}s")
     full = full_matrix_system(2)
     t0 = time.monotonic()
-    decision = haemers_exact_decide(full, 1, 2, time_budget=60.0, seed=seed)
+    decision = haemers_exact_decide(full, 1, 2, seed=seed)
     full_cost = (
         f"{decision.engine.pairs_processed} S-pairs in "
         f"{time.monotonic() - t0:.1f}s of the 60s budget"

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -44,7 +45,13 @@ from zerocap.classical import (
     unit_diagonal_form,
     verify_fitting,
 )
-from zerocap.exactlinalg import ExactMatrix, GaussianRational, parse_scalar
+from zerocap.exactlinalg import (
+    ExactMatrix,
+    GaussianRational,
+    column_blocks,
+    parse_scalar,
+    rank_factorization,
+)
 from zerocap.graphs import complete_graph, cycle_graph, empty_graph, independence_number, strong_product
 from zerocap.independence import IndependentSystem, verify_independent
 from zerocap.ncgraph import (
@@ -182,6 +189,111 @@ def test_rank_matches_float_oracle_on_random_certificates():
             exact = verify_certificate(s, cert)
             numeric = np.linalg.matrix_rank(cert.matrix().to_complex(), tol=1e-9)
             assert exact == numeric == cert.k
+
+
+def _block_loop_verify(s, cert):
+    """The verifier before B was read once as Z[i] rows, kept as an oracle.
+
+    It cuts C^dag D into m^2 n x n ExactMatrix blocks, tests each with
+    NcGraph.contains, sums the diagonal blocks as an ExactMatrix and takes
+    the rank of Q D for C^dag = P Q, the rank factorization of the tall
+    mn x k matrix C^dag.
+    """
+    if s.dim == 0:
+        raise VerificationError("span has empty basis", kind="empty-span")
+    if cert.n != s.n:
+        raise VerificationError(
+            f"certificate ambient dimension {cert.n} != span dimension {s.n}",
+            kind="shape",
+        )
+    n = cert.n
+    total = ExactMatrix.zeros(n, n)
+    for i, c_i in enumerate(column_blocks(cert.C, n)):
+        for j, blk in enumerate(column_blocks(c_i.conj_transpose() @ cert.D, n)):
+            if not s.contains(blk):
+                raise VerificationError(
+                    f"block ({i}, {j}) of C^dag D lies outside the span",
+                    kind="block-membership",
+                    where=(i, j),
+                )
+            if i == j:
+                total = total + blk
+    if total != ExactMatrix.identity(n):
+        raise VerificationError(
+            "diagonal blocks of C^dag D do not sum to the identity", kind="trace"
+        )
+    _, q = rank_factorization(cert.C.conj_transpose())
+    rank = 0 if q.rows == 0 else (q @ cert.D).rank()
+    if rank > cert.k:
+        raise VerificationError(
+            f"rank {rank} exceeds the claimed bound k = {cert.k}", kind="rank"
+        )
+    return rank
+
+
+def _outcome(verify, s, cert):
+    try:
+        return ("ok", verify(s, cert))
+    except VerificationError as exc:
+        return (exc.kind, exc.where, str(exc))
+
+
+def _single_entry_mutations(cert):
+    """cert with one entry of C or D raised by 1, raised by i, or set to 0."""
+    steps = (
+        lambda x: x + 1,
+        lambda x: x + GaussianRational(0, 1),
+        lambda x: GaussianRational(0),
+    )
+    for name in ("C", "D"):
+        factor = getattr(cert, name)
+        entries = factor.nonzeros()
+        for idx in range(factor.rows * factor.cols):
+            old = entries.get(idx, GaussianRational(0))
+            for step in steps:
+                new = step(old)
+                if new != old:
+                    changed = ExactMatrix.from_nonzeros(
+                        factor.rows, factor.cols, {**entries, idx: new}
+                    )
+                    yield replace(cert, **{name: changed})
+
+
+def test_verifier_agrees_with_the_block_loop_on_every_single_entry_mutation():
+    rng = np.random.default_rng(3)
+    pentagon = unit_diagonal_form(
+        gram_fitting_matrix(cycle_graph(5), pentagon_representation())
+    )
+    cases = [
+        (diagonal_system(3), identity_certificate(3)),
+        (full_matrix_system(2), full_matrix_certificate(2)),
+        (NcGraph.from_graph(cycle_graph(5)), lift_graph_certificate(pentagon)),
+    ]
+    # the spans above are closed under transposition; a complex rotation of
+    # the diagonal span is not, so it tells block (i, j) from its transpose
+    i45 = GaussianRational(0, Fraction(4, 5))
+    rotated = conjugate_by_unitary(
+        diagonal_system(2), ExactMatrix.from_rows([[Fraction(3, 5), i45], [i45, Fraction(3, 5)]])
+    )
+    for s in (
+        scalar_identity_system(2), diagonal_system(3), constant_diagonal_system(3), rotated
+    ):
+        cases += [(s, random_certificate(s, m, rng)) for m in (1, 2)]
+    # rank 1 at k = 2: one factor has a zero row, so the rank must come
+    # from C^dag D, not from C or D alone
+    u = ExactMatrix.from_rows([[1, 0, 0, 1], [0, 0, 0, 0]])
+    v = ExactMatrix.from_rows([[1, 0, 0, 1], [1, 0, 0, 0]])
+    for c, d in ((u, v), (v, u)):
+        cases.append((full_matrix_system(2), HaemersCertificate(n=2, m=2, k=2, C=c, D=d)))
+    kinds = set()
+    for s, cert in cases:
+        assert _outcome(verify_certificate, s, cert)[0] == "ok"
+        for mutated in (cert, *_single_entry_mutations(cert)):
+            new = _outcome(verify_certificate, s, mutated)
+            assert new == _outcome(_block_loop_verify, s, mutated)
+            kinds.add(new[0])
+    # rank(C^dag D) <= k holds by shape, so no mutation reaches the rank check
+    assert kinds == {"ok", "block-membership", "trace"}
 
 
 # -- verify_xi_certificate ---------------------------------------------------

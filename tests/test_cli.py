@@ -2,17 +2,20 @@
 
 import argparse
 import hashlib
+import inspect
 import json
 from fractions import Fraction
 
 import pytest
 
 from zerocap.certificates import (
+    DEFAULT_SEARCH_BUDGET,
     HaemersCertificate,
     conjugate_certificate,
     direct_sum_certificate,
     full_matrix_certificate,
     haemers_bound,
+    haemers_exact_decide,
     haemers_upper_search,
     identity_certificate,
     independent_witness_kraus,
@@ -29,6 +32,7 @@ from zerocap.classical import (
 )
 from zerocap.cli import main
 from zerocap.graphs import Graph, cycle_graph
+from zerocap.groebner import DEFAULT_TIME_BUDGET, buchberger
 import zerocap.cli as cli_module
 from zerocap.exactlinalg import ExactMatrix
 from zerocap.independence import IndependentSystem
@@ -398,6 +402,34 @@ def test_nc_haemers_rejects_a_k_max_below_one(k_max, tmp_path, capsys, monkeypat
                  "--cert-out", str(cert_out)]) == 2
     assert capsys.readouterr().err == f"error: --k-max must be positive, got {k_max}\n"
     assert calls == [] and not cert_out.exists()
+
+
+def test_nc_haemers_prints_a_library_warning_once_per_run(tmp_path, capsys):
+    # span{I, E_12} holds I but is not self-adjoint, so each of the two
+    # verify_certificate calls of a run warns; both runs share one process
+    span = _write_span(tmp_path, "span.json", NcGraph(2, [{0: (1, 0), 3: (1, 0)}, {1: (1, 0)}]))
+    cert_out = tmp_path / "cert.json"
+    for _ in range(2):
+        assert main(["nc", "haemers", span, "--cert-out", str(cert_out)]) == 0
+        out, err = capsys.readouterr()
+        assert out == (
+            "H >= 2 (proper subspace of the full matrix algebra)\n"
+            f"H <= 2 (identity, certificate rank 2, m=1) -> {cert_out}\n"
+        )
+        assert err == (
+            "warning: span is not an operator system (self-adjoint with identity); "
+            "the rank bound is still checked but loses its capacity meaning\n"
+        )
+
+
+def test_defaults_have_one_source():
+    args = cli_module.build_parser().parse_args(["nc", "haemers", "span.json"])
+    assert args.budget == DEFAULT_SEARCH_BUDGET
+    for fn in (haemers_upper_search, haemers_bound):
+        assert inspect.signature(fn).parameters["budget"].default == DEFAULT_SEARCH_BUDGET
+    assert cli_module.CliConfig().groebner_budget == DEFAULT_TIME_BUDGET
+    for fn in (haemers_exact_decide, buchberger):
+        assert inspect.signature(fn).parameters["time_budget"].default == DEFAULT_TIME_BUDGET
 
 
 def _command_paths(parser, prefix=()):
