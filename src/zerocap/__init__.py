@@ -59,8 +59,16 @@ from .ncgraph import (
     full_matrix_system,
     scalar_identity_system,
 )
-from .selftest import CheckResult, run_all, run_check
 from .theta import lovasz_theta
+
+
+def __getattr__(name: str):
+    # selftest is imported on first use of its names, so `import zerocap` stays light
+    if name in ("CheckResult", "run_all", "run_check"):
+        from . import selftest
+        return getattr(selftest, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CheckResult",

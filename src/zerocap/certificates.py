@@ -28,8 +28,6 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .classical import (
     FittingMatrix,
     best_fitting_matrix,
@@ -39,7 +37,6 @@ from .classical import (
 from .graphs import DEFAULT_VERTEX_CAP
 from .exactlinalg import (
     ExactMatrix,
-    GaussianInt,
     GaussianRational,
     IntegerRow,
     ONE,
@@ -48,7 +45,6 @@ from .exactlinalg import (
     require_int,
     require_list,
     rank_factorization,
-    rationalize_array,
     reduce_row,
 )
 from .groebner import (
@@ -64,25 +60,17 @@ from .ncgraph import NcGraph, conjugate_by_unitary
 from .ncgraph import direct_sum_nc as _direct_sum_span
 from .ncgraph import tensor as _tensor_span
 
-#: Denominator caps tried, in order, when rounding a float factor to Q(i).
-RATIONALIZE_DENOMINATORS: tuple[int, ...] = (16, 256, 10_000, 1_000_000)
-
 #: Soft ceiling on the real-variable count accepted by the exact decider.
 EXACT_DECIDE_VAR_GUIDELINE = 24
 
 #: Settings no caller changes: the numerator bound of random_certificate's
-#: coefficients, ALS sweeps per haemers_upper_search restart, alpha_lower_search
-#: restarts per target size in haemers_lower, haemers_exact_decide's restarts.
+#: coefficients, alpha_lower_search restarts per target size in haemers_lower,
+#: haemers_exact_decide's restarts.
 RANDOM_COEFF_MAGNITUDE = 3
-ALS_ITERATIONS = 80
 LOWER_SEARCH_BUDGET = 10
 DECIDE_SEARCH_BUDGET = 4
 #: Default restarts per (k, m) of haemers_upper_search, haemers_bound, nc haemers.
 DEFAULT_SEARCH_BUDGET = 8
-
-#: Restarts of one block count that haemers_upper_search runs as one stacked
-#: batch; its peak memory grows with this, never with the restart budget.
-ALS_CHUNK = 8
 
 
 class VerificationError(ValueError):
@@ -312,16 +300,14 @@ def full_matrix_certificate(n: int) -> HaemersCertificate:
     return HaemersCertificate(n=n, m=n, k=1, C=c, D=c)
 
 
-def random_certificate(
-    s: NcGraph, m: int, rng: np.random.Generator
-) -> HaemersCertificate:
+def random_certificate(s: NcGraph, m: int, rng) -> HaemersCertificate:
     """A random verified certificate with m blocks drawn from the span.
 
     Off-diagonal blocks are random span elements with small Gaussian-rational
     coefficients; the diagonal is corrected by an equal share of
     (sum of diagonals - I), which stays inside the span because the span
     contains the identity.  k is set to the exact rank, so the result is
-    tight by construction and always verifies.
+    tight by construction and always verifies.  rng is a numpy Generator.
     """
     if not s.contains_identity:
         raise ValueError("random certificates need the identity inside the span")
@@ -684,165 +670,6 @@ def from_tp_map(tp: TpMapCertificate) -> HaemersCertificate:
 # -- numeric search ----------------------------------------------------
 
 
-def _span_projector(s: NcGraph) -> np.ndarray:
-    """Float orthogonal projector onto the span, from an exact Gram inverse."""
-    # column t holds the row-major coordinates of basis row t
-    coords = {
-        coord * s.dim + t: x
-        for t, row in enumerate(s.integer_rows.values())
-        for coord, x in row.items()
-    }
-    v_exact = ExactMatrix.from_numerators(s.n * s.n, s.dim, coords, s.scale)
-    gram = v_exact.conj_transpose() @ v_exact
-    gram_inv = gram.solve(ExactMatrix.identity(s.dim))
-    if gram_inv is None:  # pragma: no cover - basis rows are independent
-        raise RuntimeError("span basis produced a singular Gram matrix")
-    v = v_exact.to_complex()
-    return v @ gram_inv.to_complex() @ v.conj().T
-
-
-def _residual(c: np.ndarray, d: np.ndarray, q: np.ndarray, m: int) -> np.ndarray:
-    """Squared constraint violation of each stacked pair of k x mn factors.
-
-    The sum over blocks B_ij of |q vec(B_ij)|^2 (distance from the span)
-    plus |sum_i B_ii - I|^2, with B = C^dag D; c and d are (r, k, mn).
-    """
-    r, _, mn = c.shape
-    n = mn // m
-    b = (c.conj().transpose(0, 2, 1) @ d).reshape(r, m, n, m, n)
-    rows = b.transpose(0, 1, 3, 2, 4).reshape(r, m * m, n * n)
-    member = np.abs(rows @ q.T) ** 2
-    trace = np.abs(np.einsum("riaib->rab", b) - np.eye(n)) ** 2
-    return member.sum(axis=(1, 2)) + trace.sum(axis=(1, 2))
-
-
-def _min_norm_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Minimum-norm solutions of the stacked Hermitian PSD systems a x = rhs.
-
-    np.linalg.solve seldom raises on a numerically singular matrix, so it
-    also solves for a known probe vector: an item whose probe comes back
-    wrong (or a batch that raises LinAlgError) is solved again through an
-    eigh pseudo-inverse that drops eigenvalues below eps * size * lambda_max,
-    the minimum-norm solution that lstsq gives.
-    """
-    size = a.shape[-1]
-    probe = np.exp(1j * np.arange(size))
-    rhs2 = np.stack([rhs, a @ probe], axis=-1)
-    try:
-        sol = np.linalg.solve(a, rhs2)
-        err = np.linalg.norm(sol[..., 1] - probe, axis=-1)
-        bad = ~(err <= 1e-6 * np.sqrt(size))
-    except np.linalg.LinAlgError:
-        sol = np.zeros_like(rhs2)
-        bad = np.ones(a.shape[0], dtype=bool)
-    x = sol[..., 0]
-    if bad.any():
-        w, v = np.linalg.eigh(a[bad])
-        cut = np.finfo(float).eps * size * w[:, -1:]
-        w_inv = np.divide(1, w, out=np.zeros_like(w), where=w > cut)
-        coef = (v.conj().transpose(0, 2, 1) @ rhs[bad][..., None])[..., 0]
-        x[bad] = (v @ (w_inv * coef)[..., None])[..., 0]
-    return x
-
-
-def _als_half_step(factor: np.ndarray, q4: np.ndarray, left_update: bool) -> np.ndarray:
-    """One least-squares half step for each of the stacked (r, k, mn) factors.
-
-    With B_ij = Z_i D_j and Z_i = C_i^dag, the right step holds C (the
-    factor passed) and solves for D; the left step holds D and solves for
-    C.  Transposing B_ij^T = D_j^T Z_i^T turns the left step into a right
-    step with fixed blocks D_j^T, unknowns Z_i^T = conj(C_i) and the
-    projector q4 with both matrix indices swapped, so one routine serves
-    both.  For fixed n x k blocks Z_f and unknown k x n blocks X_u it
-    minimises sum_{f,u} |q vec(Z_f X_u)|^2 + |sum_f Z_f X_f - I|^2, whose
-    normal matrix is kron(I_m, G) + (Z_f^dag Z_g)_{f,g} (x) I_n with
-    G = sum_f (Z_f (x) I)^dag q (Z_f (x) I), and whose right-hand side is
-    vec(Z_f^dag).
-    """
-    r, k, mn = factor.shape
-    n = q4.shape[0]
-    m = mn // n
-    if left_update:
-        q4 = q4.transpose(1, 0, 3, 2)
-    z = factor.reshape(r, k, m, n).transpose(0, 2, 3, 1)  # (r, m, n, k)
-    if not left_update:
-        z = z.conj()
-    # w[(p, a), (q, c)] = sum_f conj(Z_f[p, a]) Z_f[q, c]
-    zf = z.reshape(r, m, n * k)
-    w = zf.conj().transpose(0, 2, 1) @ zf
-    w = w.reshape(r, n, k, n, k).transpose(0, 2, 4, 1, 3).reshape(r, k * k, n * n)
-    # g[(a, b), (c, d)] = sum_{p, q} w[(p, a), (q, c)] q4[p, b, q, d]
-    g = w @ q4.transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    g = g.reshape(r, k, k, n, n).transpose(0, 1, 3, 2, 4).reshape(r, k * n, k * n)
-    zs = z.transpose(0, 2, 1, 3).reshape(r, n, m * k)
-    t = (zs.conj().transpose(0, 2, 1) @ zs).reshape(r, m, k, 1, m, k, 1)
-    normal = (t * np.eye(n).reshape(1, 1, 1, n, 1, 1, n)).reshape(r, m * k * n, -1)
-    blocks = np.arange(m)
-    normal.reshape(r, m, k * n, m, k * n)[:, blocks, :, blocks, :] += g
-    rhs = z.conj().transpose(0, 1, 3, 2).reshape(r, m * k * n)
-    x = _min_norm_solve(normal, rhs).reshape(r, m, k, n).transpose(0, 2, 1, 3)
-    x = x.reshape(r, k, mn)
-    return x.conj() if left_update else x
-
-
-def _polish_factor(
-    s: NcGraph, c_exact: ExactMatrix, k: int, m: int
-) -> Optional[HaemersCertificate]:
-    """Given an exact C, solve the (linear) feasibility for D over Q(i).
-
-    The rows are assembled in Z[i], each scaled by the denominator e of C^dag
-    (and the annihilator's by the span's scale), which keeps the solution.
-    """
-    n = s.n
-    mn = m * n
-    ch, e = c_exact.conj_transpose().numerators()
-    # ch_rows[r] lists (t, e * C^dag[r, t]) over the nonzeros of row r
-    ch_rows: list[list[tuple[int, GaussianInt]]] = [[] for _ in range(mn)]
-    for idx, x in ch.items():
-        r, t = divmod(idx, k)
-        ch_rows[r].append((t, x))
-    ann = s.annihilator_rows()
-    # unknowns: D in row-major order, D[t, c] at index t * mn + c
-    nv = k * mn
-    entries: dict[int, GaussianInt] = {}
-    rhs: dict[int, GaussianInt] = {}
-
-    def add(row: int, col: int, xr: int, xi: int) -> None:
-        key = row * nv + col
-        ar, ai = entries.get(key, (0, 0))
-        entries[key] = (ar + xr, ai + xi)
-
-    row = 0
-    for i in range(m):
-        for j in range(m):
-            for a_row in ann:
-                for coord, (vr, vi) in a_row.items():
-                    p, qq = divmod(coord, n)
-                    for t, (cr, ci) in ch_rows[i * n + p]:
-                        add(row, t * mn + j * n + qq, vr * cr - vi * ci, vr * ci + vi * cr)
-                row += 1
-    for p in range(n):
-        for qq in range(n):
-            for i in range(m):
-                for t, (cr, ci) in ch_rows[i * n + p]:
-                    add(row, t * mn + i * n + qq, cr, ci)
-            if p == qq:
-                rhs[row] = (e, 0)
-            row += 1
-    a_mat = ExactMatrix.from_numerators(row, nv, entries)
-    sol = a_mat.solve(ExactMatrix.from_numerators(row, 1, rhs))
-    if sol is None:
-        return None
-    cert = HaemersCertificate(
-        n=n, m=m, k=k, C=c_exact, D=ExactMatrix.from_numerators(k, mn, *sol.numerators())
-    )
-    try:
-        verify_certificate(s, cert)
-    except VerificationError:  # pragma: no cover - solve enforces feasibility
-        return None
-    return cert
-
-
 def block_count_schedule(n: int, m_schedule: Optional[Sequence[int]] = None) -> list[int]:
     """Block counts to search in M_n, ascending: m_schedule (default 1, 2, n,
     n^2) cut to [1, n^4]; ValueError when none is left."""
@@ -870,15 +697,15 @@ def haemers_upper_search(
     (orthogonal projection residual against the span) plus the block-trace
     condition, by solving its normal equations in closed form: an
     mkn x mkn Hermitian system kron(I_m, G) + (Z_f^dag Z_g) (x) I_n built
-    from the fixed factor's blocks (see _als_half_step), never the tall
+    from the fixed factor's blocks (see search._als_half_step), never the tall
     (m^2 n^2 + n^2)-row least-squares matrix.  A singular system gets its
     minimum-norm solution.
 
-    The restarts of one m run together as a stacked batch, ALS_CHUNK at a
-    time, so peak memory does not grow with the budget.  Each restart keeps
-    its own seed, start point and stopping rule (residual below 1e-26, no
-    relative progress of 1e-9, or ALS_ITERATIONS sweeps) and leaves the
-    batch when it stops.  After a chunk, the near-feasible restarts are
+    The restarts of one m run together as a stacked batch, search.ALS_CHUNK
+    at a time, so peak memory does not grow with the budget.  Each restart
+    keeps its own seed, start point and stopping rule (residual below 1e-26,
+    no relative progress of 1e-9, or search.ALS_ITERATIONS sweeps) and
+    leaves the batch when it stops.  After a chunk, the near-feasible restarts are
     rounded to Q(i) in restart order through a denominator ladder, and each
     rounding of C is completed by an exact linear solve for D (the
     constraints are linear in D).  A rounded D could only verify by
@@ -890,41 +717,9 @@ def haemers_upper_search(
         raise ValueError("rank bound k must be positive")
     if budget < 1:
         raise ValueError(f"restart budget must be positive, got {budget}")
-    n = s.n
-    schedule = block_count_schedule(n, m_schedule)
-    q = np.eye(n * n) - _span_projector(s)
-    q4 = q.reshape(n, n, n, n)
-    for m in schedule:
-        mn = m * n
-        for first in range(0, budget, ALS_CHUNK):
-            rngs = [
-                np.random.default_rng(seed + 7919 * restart + 104_729 * m)
-                for restart in range(first, min(first + ALS_CHUNK, budget))
-            ]
-            # each restart's generator draws its C, then its D
-            c, d = (
-                np.array(
-                    [g.standard_normal((k, mn)) + 1j * g.standard_normal((k, mn)) for g in rngs]
-                )
-                for _ in "cd"
-            )
-            best = np.full(len(rngs), np.inf)
-            live = np.arange(len(rngs))
-            for _ in range(ALS_ITERATIONS):
-                d[live] = _als_half_step(c[live], q4, left_update=False)
-                c[live] = _als_half_step(d[live], q4, left_update=True)
-                res = _residual(c[live], d[live], q, m)
-                stop = (res < 1e-26) | (res > best[live] * (1 - 1e-9))
-                best[live] = np.fmin(best[live], res)
-                live = live[~stop]
-                if live.size == 0:
-                    break
-            for i in np.flatnonzero(_residual(c, d, q, m) <= 1e-10):
-                for denom_cap in RATIONALIZE_DENOMINATORS:
-                    cert = _polish_factor(s, rationalize_array(c[i], denom_cap), k, m)
-                    if cert is not None:
-                        return cert
-    return None
+    schedule = block_count_schedule(s.n, m_schedule)
+    from . import search
+    return search.find_certificate(s, k, schedule, budget, seed)
 
 
 # -- lower bounds -------------------------------------------------------

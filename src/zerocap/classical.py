@@ -286,7 +286,7 @@ def bounds_report(
     upper, fitting = _gram_fitting(g, representation)
     xi_upper = representation[0].rows
 
-    consistent = alpha <= lower <= upper <= xi_upper and alpha <= theta + 1e-4
+    consistent = bool(alpha <= lower <= upper <= xi_upper and alpha <= theta + 1e-4)
     return ClassicalBounds(
         graph=g,
         alpha=alpha,

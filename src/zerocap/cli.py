@@ -79,7 +79,6 @@ from .ncgraph import (
     from_kraus,
     tensor,
 )
-from .selftest import run_all, run_check
 from .theta import DEFAULT_TOL, lovasz_theta
 
 
@@ -313,6 +312,7 @@ def _cmd_nc_haemers(args: argparse.Namespace, cfg: CliConfig) -> int:
             "provenance": f"certificate:{cert_path}",
         },
         "exact_tiny": exact_notes,
+        "operator_system": s.is_operator_system(),
     }
     lines = [
         f"H >= {lower.value} ({lower.justification})",
@@ -423,6 +423,7 @@ def _cmd_transform_tpmap(args: argparse.Namespace, cfg: CliConfig) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace, cfg: CliConfig) -> int:
+    from .selftest import run_all, run_check  # loaded only for this command
     if args.only:
         results = [run_check(args.only, seed=args.seed)]
     else:

@@ -19,21 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .exactlinalg import (
     ExactMatrix,
     ONE,
     format_scalar,
     require_int,
     parse_scalar,
-    rationalize_array,
 )
 from .graphs import Graph, independence_number
 from .ncgraph import NcGraph
-
-#: Denominator caps tried, in order, when rounding a float vector to Q(i).
-RATIONALIZE_DENOMINATORS = (16, 256, 10_000)
 
 
 @dataclass(frozen=True)
@@ -130,15 +124,6 @@ def axis_witness(s: NcGraph) -> Optional[IndependentSystem]:
     return witness if verify_independent(s, witness) else None
 
 
-def _rationalize_vector(v: np.ndarray, cap: int) -> Optional[ExactMatrix]:
-    """Scale so the largest entry is exactly 1, then round entrywise."""
-    idx = int(np.argmax(np.abs(v)))
-    pivot = v[idx]
-    if abs(pivot) < 1e-12:
-        return None
-    return rationalize_array((v / pivot)[:, None], cap)
-
-
 def alpha_lower_search(
     s: NcGraph,
     l_target: int,
@@ -173,50 +158,5 @@ def alpha_lower_search(
         out = IndependentSystem.standard_basis(n, [0])
         return out if verify_independent(s, out) else None
 
-    basis_c = [a.to_complex() for a in s.basis]
-    ops = basis_c + [a.conj().T for a in basis_c]
-    rng = np.random.default_rng(seed)
-
-    def residual(vecs: list[np.ndarray]) -> float:
-        total = 0.0
-        for a in basis_c:
-            for i, vi in enumerate(vecs):
-                for j, vj in enumerate(vecs):
-                    if i != j:
-                        total += abs(np.vdot(vi, a @ vj)) ** 2
-        return total
-
-    for _ in range(budget):
-        vecs = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(l_target)]
-        vecs = [v / np.linalg.norm(v) for v in vecs]
-        best = float("inf")
-        for _sweep in range(200):
-            for i in range(l_target):
-                m = np.zeros((n, n), dtype=complex)
-                for j, vj in enumerate(vecs):
-                    if j == i:
-                        continue
-                    for a in ops:
-                        w = a @ vj
-                        m += np.outer(w, w.conj())
-                _vals, eig = np.linalg.eigh(m)
-                vecs[i] = eig[:, 0]
-            r = residual(vecs)
-            if r < 1e-22:
-                break
-            if r > best * (1 - 1e-3):
-                break
-            best = min(best, r)
-        if residual(vecs) > 1e-18:
-            continue
-        for cap in RATIONALIZE_DENOMINATORS:
-            cols = [_rationalize_vector(v, cap) for v in vecs]
-            if any(c is None for c in cols):
-                continue
-            candidate = IndependentSystem(n, tuple(cols))
-            try:
-                if verify_independent(s, candidate):
-                    return candidate
-            except ValueError:
-                continue
-    return None
+    from . import search
+    return search.find_independent_system(s, l_target, budget, seed)

@@ -18,9 +18,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .certificates import (
     HaemersCertificate,
@@ -74,6 +72,9 @@ from .ncgraph import (
     scalar_identity_system,
 )
 from .theta import DEFAULT_TOL, lovasz_theta
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -286,6 +287,7 @@ def _random_cert(
 
 def check_product_and_sum_certificates(seed: int = 0) -> CheckResult:
     """Tensor multiplies and direct sum adds rank, constructively, 100 times."""
+    import numpy as np
     rng = random.Random(seed)
     np_rng = np.random.default_rng(seed)
     problems: list[str] = []
@@ -312,6 +314,7 @@ def check_product_and_sum_certificates(seed: int = 0) -> CheckResult:
 
 def check_compression_sandwich(seed: int = 0) -> CheckResult:
     """Witness size never exceeds certificate rank, on 100 random pairs."""
+    import numpy as np
     rng = random.Random(seed)
     np_rng = np.random.default_rng(seed)
     problems: list[str] = []
@@ -362,6 +365,7 @@ def check_compression_sandwich(seed: int = 0) -> CheckResult:
 
 def check_channel_form_round_trip(seed: int = 0) -> CheckResult:
     """Certificates convert to trace-preserving map form and back, intact."""
+    import numpy as np
     rng = random.Random(seed)
     np_rng = np.random.default_rng(seed)
     problems: list[str] = []

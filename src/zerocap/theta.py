@@ -23,10 +23,12 @@ s^T B s / |s|^2 = <J, X> / tr X, so lambda_max(I + T) >= lower_bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .graphs import Graph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITER = 500
@@ -54,6 +56,7 @@ class SdpSolution:
 
 def _step(li: np.ndarray, d: np.ndarray) -> float:
     """0.95 of the step from L L^T along d to the PSD boundary, at most 1; li = L^-1."""
+    import numpy as np
     lam = np.linalg.eigvalsh(li @ d @ li.T)[0]
     return 1.0 if lam >= -0.95 else -0.95 / lam
 
@@ -68,6 +71,7 @@ def lovasz_theta(
     that bracket is wider than tol.  Raises ValueError unless tol is
     positive and finite.
     """
+    import numpy as np
     if not 0 < tol < float("inf"):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     n = g.n

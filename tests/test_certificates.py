@@ -37,6 +37,7 @@ from zerocap.certificates import (
 )
 from zerocap.certificates import _four_square
 import zerocap.certificates as certificates_module
+import zerocap.search as search_module
 from zerocap.classical import (
     FittingMatrix,
     gram_fitting_matrix,
@@ -740,7 +741,7 @@ def test_als_half_step_matches_the_block_loop(n, m, k):
         3: corner_family(Fraction(1, 2)),
         5: NcGraph.from_graph(cycle_graph(5)),
     }[n]
-    q = np.eye(n * n) - certificates_module._span_projector(span)
+    q = np.eye(n * n) - search_module._span_projector(span)
     rng = np.random.default_rng(100 * n + 10 * m + k)
     for left_update in (False, True):
         batch = _batch_with_a_rank_deficient_restart(rng, n, m, k, left_update)
@@ -752,14 +753,14 @@ def test_als_half_step_matches_the_block_loop(n, m, k):
                 for blocks in batch
             ]
         )
-        got = certificates_module._als_half_step(factors, q.reshape(n, n, n, n), left_update)
+        got = search_module._als_half_step(factors, q.reshape(n, n, n, n), left_update)
         assert got.shape == (len(batch), k, m * n)
         for blocks, sol in zip(batch, got):
             want = _als_half_step_loop(blocks, q, n, m, k, left_update)
             assert np.allclose(sol, want, rtol=1e-9, atol=1e-12)
         # the updated factor against the held one, in the order of the search
         c, d = (got, factors) if left_update else (factors, got)
-        res = certificates_module._residual(c, d, q, m)
+        res = search_module._residual(c, d, q, m)
         assert np.allclose(
             res, [_residual_loop(ci, di, q, n, m) for ci, di in zip(c, d)], rtol=1e-9, atol=1e-12
         )

@@ -422,6 +422,22 @@ def test_nc_haemers_prints_a_library_warning_once_per_run(tmp_path, capsys):
         )
 
 
+@pytest.mark.parametrize(
+    "span, expected",
+    [(NcGraph(2, [{0: (1, 0), 3: (1, 0)}, {1: (1, 0)}]), False), (diagonal_system(2), True)],
+    ids=["I-and-E12", "diagonal"],
+)
+def test_nc_haemers_json_says_whether_the_span_is_an_operator_system(
+    span, expected, tmp_path, capsys
+):
+    path = _write_span(tmp_path, "span.json", span)
+    cert_out = tmp_path / "cert.json"
+    assert main(["nc", "haemers", path, "--json", "--cert-out", str(cert_out)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["operator_system"] is expected
+    assert payload["upper"]["rank"] == 2
+
+
 def test_defaults_have_one_source():
     args = cli_module.build_parser().parse_args(["nc", "haemers", "span.json"])
     assert args.budget == DEFAULT_SEARCH_BUDGET
@@ -834,3 +850,11 @@ def test_selftest_single_check(capsys):
     out = capsys.readouterr().out
     assert "PASS pentagon-sandwich" in out
     assert "1/1 checks passed" in out
+
+
+def test_selftest_json_output(capsys):
+    # theta is a numpy float, so a verdict built from it must still be a JSON bool
+    assert main(["selftest", "paper", "--only", "pentagon-sandwich", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is True
+    assert [(r["name"], r["ok"]) for r in payload["results"]] == [("pentagon-sandwich", True)]

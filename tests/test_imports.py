@@ -13,6 +13,7 @@ that two modules share is public and named so.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -125,6 +126,14 @@ def test_no_private_name_is_imported_from_another_module(path):
     assert not found, "private name imported across modules:\n" + "\n".join(found)
 
 
+def _fresh_interpreter(probe: str) -> str:
+    """Standard output of probe, run in a new interpreter that imports zerocap from src."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
 def test_cli_import_loads_no_process_pool():
     # The pool is for `selftest paper --jobs N` only; every other command
     # would pay for importing it at start-up.
@@ -133,11 +142,46 @@ def test_cli_import_loads_no_process_pool():
         "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
         "if m in sys.modules])"
     )
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "[]"
+    assert _fresh_interpreter(probe) == "[]"
+
+
+def test_cli_import_loads_no_numpy():
+    # numpy serves the float search, theta and the selftest checks only; the
+    # exact commands should not pay for importing it at start-up.
+    probe = (
+        "import sys, zerocap.cli; "
+        "print([m for m in ('numpy', 'zerocap.search', 'zerocap.selftest') "
+        "if m in sys.modules])"
+    )
+    assert _fresh_interpreter(probe) == "[]"
+
+
+def test_verify_cert_runs_without_numpy(tmp_path):
+    from zerocap.certificates import lift_graph_certificate, tensor_certificate
+    from zerocap.classical import gram_fitting_matrix, pentagon_representation
+    from zerocap.graphs import cycle_graph
+    from zerocap.ncgraph import NcGraph, tensor
+
+    c5 = NcGraph.from_graph(cycle_graph(5))
+    lifted = lift_graph_certificate(gram_fitting_matrix(cycle_graph(5), pentagon_representation()))
+    span, cert = tmp_path / "c5xc5.json", tmp_path / "c5xc5-cert.json"
+    span.write_text(json.dumps(tensor(c5, c5).to_json_dict()))
+    cert.write_text(json.dumps(tensor_certificate(c5, lifted, c5, lifted).to_json_dict()))
+    probe = (
+        "import sys, zerocap.cli; "
+        f"code = zerocap.cli.main(['nc', 'verify-cert', {str(span)!r}, {str(cert)!r}]); "
+        "print(code, 'numpy' in sys.modules)"
+    )
+    assert _fresh_interpreter(probe).splitlines() == ["rank 9, OK", "0 False"]
+
+
+def test_every_public_name_resolves():
+    import zerocap
+
+    missing = [name for name in zerocap.__all__ if not hasattr(zerocap, name)]
+    assert missing == []
+    with pytest.raises(AttributeError):
+        zerocap.no_such_name
 
 
 def test_cli_leaves_the_bound_chain_to_certificates():

@@ -4,10 +4,13 @@ bench/tracer.py is read by file path and executed in its own namespace, so
 nothing under bench/ is imported as a package or written to.
 """
 
-import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def _layers():
@@ -17,16 +20,23 @@ def _layers():
 
 
 def test_every_traced_layer_resolves():
-    layers = _layers()
+    # The tracer looks each function up in sys.modules["zerocap.<module>"]
+    # right after `import zerocap.cli`, before any command has run, so the
+    # check runs in a fresh interpreter that has imported nothing else.
+    layers = [(mod, cls, attr) for mod, cls, attr, _span, _count in _layers()]
     assert layers
-    missing = []
-    for mod_name, cls_name, attr, _span, _count in layers:
-        home = importlib.import_module(f"zerocap.{mod_name}")
-        if cls_name is None:
-            found = callable(getattr(home, attr, None))
-        else:
-            cls = getattr(home, cls_name, None)
-            found = cls is not None and attr in vars(cls)
-        if not found:
-            missing.append(f"{mod_name}.{cls_name + '.' if cls_name else ''}{attr}")
+    probe = (
+        "import sys, zerocap.cli\n"
+        f"for mod_name, cls_name, attr in {layers!r}:\n"
+        "    home = sys.modules.get('zerocap.' + mod_name)\n"
+        "    owner = getattr(home, cls_name, None) if cls_name else home\n"
+        "    fn = getattr(owner, attr, None)\n"
+        "    at_home = callable(fn) and fn.__module__ == 'zerocap.' + mod_name\n"
+        "    if not at_home or (cls_name and attr not in vars(owner)):\n"
+        "        print(f\"{mod_name}.{cls_name + '.' if cls_name else ''}{attr}\")\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    missing = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
     assert missing == []
