@@ -707,11 +707,12 @@ def haemers_upper_search(
     no relative progress of 1e-9, or search.ALS_ITERATIONS sweeps) and
     leaves the batch when it stops.  After a chunk, the near-feasible restarts are
     rounded to Q(i) in restart order through a denominator ladder, and each
-    rounding of C is completed by an exact linear solve for D (the
-    constraints are linear in D).  A rounded D could only verify by
-    solving that same system, so D is never rounded itself.  The first
-    certificate that survives verify_certificate is returned, which is the
-    answer a restart-by-restart loop gives; everything else is discarded.
+    rounding of C is completed by an exact linear solve for D of
+    s.certificate_conditions(m), which are linear in D.  A rounded D could
+    only verify by solving that same system, so D is never rounded itself.
+    The first solvable rounding is the answer a restart-by-restart loop
+    gives; everything else is discarded.  It is checked here, once, by
+    verify_certificate before it is returned: VerificationError if it fails.
     """
     if k < 1:
         raise ValueError("rank bound k must be positive")
@@ -719,7 +720,10 @@ def haemers_upper_search(
         raise ValueError(f"restart budget must be positive, got {budget}")
     schedule = block_count_schedule(s.n, m_schedule)
     from . import search
-    return search.find_certificate(s, k, schedule, budget, seed)
+    cert = search.find_certificate(s, k, schedule, budget, seed)
+    if cert is not None:
+        verify_certificate(s, cert)
+    return cert
 
 
 # -- lower bounds -------------------------------------------------------
@@ -878,7 +882,8 @@ def haemers_bound(
     EXACT_DECIDE_VAR_GUIDELINE real variables, and a feasible decision
     replaces the certificate.  Each note reads "rank k: m=1: <status>,
     m=2: <status>".  The returned certificate has passed
-    verify_certificate.  ValueError, before any other work, when s lacks
+    verify_certificate once: here when constructed, in haemers_upper_search
+    when searched.  ValueError, before any other work, when s lacks
     the identity: the diagonal blocks of a certificate sum to I inside s,
     so none exists.  ValueError too when the schedule has no usable m.
     """
@@ -898,9 +903,9 @@ def haemers_bound(
             budget=budget,
             seed=seed,
         )
-        if found is not None:
+        if found is not None:  # verified by haemers_upper_search
             cert, method = found, "search"
-            rank = verify_certificate(s, cert)
+            rank = _product_rank(cert.C, cert.D)
             break
 
     exact_notes: list[str] = []
@@ -917,6 +922,5 @@ def haemers_bound(
                 verdicts.append(f"m={m}: {decision.status}")
                 if decision.certificate is not None:
                     cert, method = decision.certificate, "search"
-                    rank = verify_certificate(s, cert)
             exact_notes.append(f"rank {k}: " + ", ".join(verdicts))
     return lower, cert, method, exact_notes

@@ -267,7 +267,8 @@ def _cmd_nc_build(args: argparse.Namespace, cfg: CliConfig) -> int:
     payload = s.to_json_dict()
     if args.output:
         _write_json(args.output, payload)
-        print(f"span of dimension {s.dim} in M_{s.n} -> {args.output}")
+        _emit(args, {"output": args.output, "n": s.n, "dim": s.dim},
+              f"span of dimension {s.dim} in M_{s.n} -> {args.output}")
     else:
         print(json.dumps(payload, indent=2))
     return 0
@@ -340,8 +341,9 @@ def _cmd_nc_verify_cert(args: argparse.Namespace, cfg: CliConfig) -> int:
     return 0
 
 
-def _summarize_cert(cert: HaemersCertificate, path: str) -> str:
-    return f"n={cert.n}, m={cert.m}, rank bound k={cert.k} -> {path}"
+def _emit_cert(args: argparse.Namespace, cert: HaemersCertificate) -> None:
+    payload = {"output": args.output, "n": cert.n, "m": cert.m, "k": cert.k}
+    _emit(args, payload, f"n={cert.n}, m={cert.m}, rank bound k={cert.k} -> {args.output}")
 
 
 def _cmd_transform_pair(args: argparse.Namespace, cfg: CliConfig) -> int:
@@ -352,7 +354,7 @@ def _cmd_transform_pair(args: argparse.Namespace, cfg: CliConfig) -> int:
     _write_json(args.output, out.to_json_dict())
     if args.system_out:
         _write_json(args.system_out, args.span_op(s, t).to_json_dict())
-    print(_summarize_cert(out, args.output))
+    _emit_cert(args, out)
     return 0
 
 
@@ -364,7 +366,7 @@ def _cmd_transform_conjugate(args: argparse.Namespace, cfg: CliConfig) -> int:
     _write_json(args.output, out.to_json_dict())
     if args.system_out:
         _write_json(args.system_out, conjugate_by_unitary(s, u).to_json_dict())
-    print(_summarize_cert(out, args.output))
+    _emit_cert(args, out)
     return 0
 
 
@@ -380,7 +382,7 @@ def _cmd_transform_cohom(args: argparse.Namespace, cfg: CliConfig) -> int:
     cert = _load_cert(args.certificate)
     out = cohomomorphism_apply(list(channel.kraus), cert, source=source, target=target)
     _write_json(args.output, out.to_json_dict())
-    print(_summarize_cert(out, args.output))
+    _emit_cert(args, out)
     return 0
 
 
@@ -388,7 +390,7 @@ def _cmd_transform_lift(args: argparse.Namespace, cfg: CliConfig) -> int:
     fm = FittingMatrix.from_json_dict(_load_json(args.fitting))
     out = lift_graph_certificate(fm)
     _write_json(args.output, out.to_json_dict())
-    print(_summarize_cert(out, args.output))
+    _emit_cert(args, out)
     return 0
 
 
@@ -398,7 +400,8 @@ def _cmd_transform_project(args: argparse.Namespace, cfg: CliConfig) -> int:
     fm = project_to_graph_certificate(s, cert)
     _write_json(args.output, fm.to_json_dict())
     rank = verify_fitting(fm)
-    print(f"fitting matrix on {fm.graph.n} vertices, rank {rank} -> {args.output}")
+    _emit(args, {"output": args.output, "vertices": fm.graph.n, "rank": rank},
+          f"fitting matrix on {fm.graph.n} vertices, rank {rank} -> {args.output}")
     return 0
 
 
@@ -408,13 +411,14 @@ def _cmd_transform_tpmap(args: argparse.Namespace, cfg: CliConfig) -> int:
         cert = from_tp_map(TpMapCertificate.from_json_dict(_load_json(args.certificate)))
         verify_certificate(s, cert)
         _write_json(args.output, cert.to_json_dict())
-        print(_summarize_cert(cert, args.output))
+        _emit_cert(args, cert)
         return 0
     cert = _load_cert(args.certificate)
     tp = to_tp_map(s, cert)
     rank = verify_tp_map(s, tp)
     _write_json(args.output, tp.to_json_dict())
-    print(f"trace-preserving map form, {tp.k} operator pairs, rank {rank}"
+    _emit(args, {"output": args.output, "pairs": len(tp.E), "k": tp.k, "rank": rank},
+          f"trace-preserving map form, {len(tp.E)} operator pairs, rank {rank}"
           f" -> {args.output}")
     return 0
 

@@ -29,6 +29,7 @@ import re as _re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -522,39 +523,26 @@ def _encode_factor(s: NcGraph, k: int, m: int) -> EncodedSystem:
         return Polynomial.variable(nvars, base), -im if conj else im
 
     zero = Polynomial(nvars), Polynomial(nvars)
-    one = Polynomial.constant(nvars, 1), Polynomial(nvars)
 
-    def block_entry(bi: int, bj: int, p: int, q: int) -> CPair:
-        # (C_bi^dag D_bj)[p][q] = sum_t conj(C[t][bi*n+p]) * D[t][bj*n+q]
+    @cache
+    def entry(idx: int) -> CPair:
+        # B[r][c] = (C^dag D)[r][c] = sum_t conj(C[t][r]) * D[t][c]
+        r, c = divmod(idx, width)
         total = zero
         for t in range(k):
-            total = _cadd(
-                total, _cmul(cvar(0, t, bi * n + p, True), cvar(1, t, bj * n + q, False))
-            )
+            total = _cadd(total, _cmul(cvar(0, t, r, True), cvar(1, t, c, False)))
         return total
 
+    # each condition sum_c row[c] B[c] = rhs, divided by the span's scale
+    scale = s.scale
     constraints: list[CPair] = []
-    scale, ann = s.scale, s.annihilator_rows()
-    for bi in range(m):
-        for bj in range(m):
-            entries = {}
-            for row in ann:
-                total = zero
-                for coord, (re, im) in row.items():
-                    p, q = divmod(coord, n)
-                    if coord not in entries:
-                        entries[coord] = block_entry(bi, bj, p, q)
-                    coeff = GaussianRational(Fraction(re, scale), Fraction(im, scale))
-                    total = _cadd(total, _cscale(entries[coord], coeff))
-                constraints.append(total)
-    for p in range(n):
-        for q in range(n):
-            total = zero
-            for bi in range(m):
-                total = _cadd(total, block_entry(bi, bi, p, q))
-            if p == q:
-                total = _csub(total, one)
-            constraints.append(total)
+    for row, (br, bi) in s.certificate_conditions(m):
+        total = zero
+        for idx, (xr, xi) in row.items():
+            coeff = GaussianRational(Fraction(xr, scale), Fraction(xi, scale))
+            total = _cadd(total, _cscale(entry(idx), coeff))
+        rhs = (Polynomial.constant(nvars, Fraction(x, scale)) for x in (br, bi))
+        constraints.append(_csub(total, tuple(rhs)))
     return EncodedSystem(_dedupe([p for pair in constraints for p in pair]), names, "factor")
 
 

@@ -23,6 +23,7 @@ from typing import Iterable, Optional, Sequence
 
 from .exactlinalg import (
     ExactMatrix,
+    GaussianInt,
     GaussianRational,
     IntegerRow,
     require_int,
@@ -151,6 +152,25 @@ class NcGraph:
             {c: (s, 0), **{p: (-b[c][0], -b[c][1]) for p, b in self._rows.items() if c in b}}
             for c in range(self.n * self.n)
             if c not in self._rows
+        ]
+
+    def certificate_conditions(self, m: int) -> list[tuple[IntegerRow, GaussianInt]]:
+        """The linear conditions on B in M_m(M_n) of a certificate, in Z[i].
+
+        Entry (p, q) of block (i, j) of B sits at row-major index
+        (i n + p) * mn + j n + q.  Each pair (row, rhs) reads
+        sum_c row[c] B[c] = rhs, both sides times the scale s: first
+        L(B_ij) = 0 for each block (i, j) in row-major order and each
+        annihilator row L, then sum_i B_ii[p, q] = [p = q] for each (p, q).
+        """
+        n, s, mn = self.n, self._scale, m * self.n
+        ann = self.annihilator_rows()
+        return [
+            ({(i * n + c // n) * mn + j * n + c % n: x for c, x in row.items()}, (0, 0))
+            for i in range(m) for j in range(m) for row in ann
+        ] + [
+            ({(i * n + p) * mn + i * n + q: (s, 0) for i in range(m)}, (s * (p == q), 0))
+            for p in range(n) for q in range(n)
         ]
 
     def as_graph(self) -> Optional[Graph]:

@@ -2,8 +2,10 @@
 
 certificates.haemers_upper_search and independence.alpha_lower_search import
 this module on their first call, so commands that never search do not load
-numpy.  Every candidate is rounded to Q(i) and leaves only once it passes the
-exact check of its kind.
+numpy.  Every candidate is rounded to Q(i).  A certificate is completed by an
+exact solve of the conditions it must meet, and haemers_upper_search verifies
+what find_certificate returns; a vector system is verified here, since its
+rounding does not keep it independent.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .certificates import HaemersCertificate, VerificationError, verify_certificate
+from .certificates import HaemersCertificate
 from .exactlinalg import ExactMatrix, GaussianInt, rationalize_array
 from .independence import IndependentSystem, verify_independent
 from .ncgraph import NcGraph
@@ -131,59 +133,39 @@ def _als_half_step(factor: np.ndarray, q4: np.ndarray, left_update: bool) -> np.
 def _polish_factor(
     s: NcGraph, c_exact: ExactMatrix, k: int, m: int
 ) -> Optional[HaemersCertificate]:
-    """Given an exact C, solve the (linear) feasibility for D over Q(i).
+    """Given an exact C, solve s.certificate_conditions(m) for D over Q(i).
 
-    The rows are assembled in Z[i], each scaled by the denominator e of C^dag
-    (and the annihilator's by the span's scale), which keeps the solution.
+    The rows, in D with B = C^dag D and C^dag scaled by its denominator e
+    (the right-hand side too), enforce all that verify_certificate checks,
+    so the solution is returned unchecked.
     """
-    n = s.n
-    mn = m * n
+    mn = m * s.n
     ch, e = c_exact.conj_transpose().numerators()
     # ch_rows[r] lists (t, e * C^dag[r, t]) over the nonzeros of row r
     ch_rows: list[list[tuple[int, GaussianInt]]] = [[] for _ in range(mn)]
     for idx, x in ch.items():
         r, t = divmod(idx, k)
         ch_rows[r].append((t, x))
-    ann = s.annihilator_rows()
+    conditions = s.certificate_conditions(m)
     # unknowns: D in row-major order, D[t, c] at index t * mn + c
     nv = k * mn
     entries: dict[int, GaussianInt] = {}
     rhs: dict[int, GaussianInt] = {}
-
-    def add(row: int, col: int, xr: int, xi: int) -> None:
-        key = row * nv + col
-        ar, ai = entries.get(key, (0, 0))
-        entries[key] = (ar + xr, ai + xi)
-
-    row = 0
-    for i in range(m):
-        for j in range(m):
-            for a_row in ann:
-                for coord, (vr, vi) in a_row.items():
-                    p, qq = divmod(coord, n)
-                    for t, (cr, ci) in ch_rows[i * n + p]:
-                        add(row, t * mn + j * n + qq, vr * cr - vi * ci, vr * ci + vi * cr)
-                row += 1
-    for p in range(n):
-        for qq in range(n):
-            for i in range(m):
-                for t, (cr, ci) in ch_rows[i * n + p]:
-                    add(row, t * mn + i * n + qq, cr, ci)
-            if p == qq:
-                rhs[row] = (e, 0)
-            row += 1
-    a_mat = ExactMatrix.from_numerators(row, nv, entries)
-    sol = a_mat.solve(ExactMatrix.from_numerators(row, 1, rhs))
+    for row, (cond, (br, bi)) in enumerate(conditions):
+        for idx, (vr, vi) in cond.items():
+            r, c = divmod(idx, mn)
+            for t, (cr, ci) in ch_rows[r]:
+                key = row * nv + t * mn + c
+                ar, ai = entries.get(key, (0, 0))
+                entries[key] = (ar + vr * cr - vi * ci, ai + vr * ci + vi * cr)
+        if br or bi:
+            rhs[row] = (br * e, bi * e)
+    a_mat = ExactMatrix.from_numerators(len(conditions), nv, entries)
+    sol = a_mat.solve(ExactMatrix.from_numerators(len(conditions), 1, rhs))
     if sol is None:
         return None
-    cert = HaemersCertificate(
-        n=n, m=m, k=k, C=c_exact, D=ExactMatrix.from_numerators(k, mn, *sol.numerators())
-    )
-    try:
-        verify_certificate(s, cert)
-    except VerificationError:  # pragma: no cover - solve enforces feasibility
-        return None
-    return cert
+    d = ExactMatrix.from_numerators(k, mn, *sol.numerators())
+    return HaemersCertificate(n=s.n, m=m, k=k, C=c_exact, D=d)
 
 
 def find_certificate(

@@ -61,15 +61,13 @@ def _step(li: np.ndarray, d: np.ndarray) -> float:
     return 1.0 if lam >= -0.95 else -0.95 / lam
 
 
-def lovasz_theta(
-    g: Graph, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
-) -> SdpSolution:
+def lovasz_theta(g: Graph, tol: float = DEFAULT_TOL) -> SdpSolution:
     """Bracket theta(g) to within tol, with a PSD spectral witness.
 
     Never raises on slow convergence or numerical breakdown: it stops at the
-    last bracket that passed its Cholesky tests, with converged=False when
-    that bracket is wider than tol.  Raises ValueError unless tol is
-    positive and finite.
+    last bracket that passed its Cholesky tests, or after DEFAULT_MAX_ITER
+    iterations, with converged=False when that bracket is wider than tol.
+    Raises ValueError unless tol is positive and finite.
     """
     import numpy as np
     if not 0 < tol < float("inf"):
@@ -110,7 +108,7 @@ def lovasz_theta(
             break
         # <J, X> / tr X as 1 + off-diagonal sum / tr X: exact on a diagonal X.
         upper, lower, best = y[0], 1.0 + x[off_diagonal].sum() / np.trace(x), x
-        if upper - lower <= gap_target or iterations >= max_iter:
+        if upper - lower <= gap_target or iterations >= DEFAULT_MAX_ITER:
             break
         lix, liz = np.linalg.inv(lx), np.linalg.inv(lz)
         w = liz.T @ liz

@@ -297,6 +297,41 @@ def test_verifier_agrees_with_the_block_loop_on_every_single_entry_mutation():
     assert kinds == {"ok", "block-membership", "trace"}
 
 
+def _meets_the_conditions(s, cert):
+    """Whether B = C^dag D satisfies every row of s.certificate_conditions(m)."""
+    b, den = cert.matrix().numerators()
+    for row, (rr, ri) in s.certificate_conditions(cert.m):
+        total_r = total_i = 0
+        for idx, (xr, xi) in row.items():
+            br, bi = b.get(idx, (0, 0))
+            total_r += xr * br - xi * bi
+            total_i += xr * bi + xi * br
+        if (total_r, total_i) != (rr * den, ri * den):
+            return False
+    return True
+
+
+def test_certificate_conditions_hold_exactly_when_the_verifier_accepts():
+    # the search and the exact encoding read the conditions; the verifier
+    # does not, so each checks the other
+    rng = np.random.default_rng(5)
+    i45 = GaussianRational(0, Fraction(4, 5))
+    rotated = conjugate_by_unitary(
+        diagonal_system(2), ExactMatrix.from_rows([[Fraction(3, 5), i45], [i45, Fraction(3, 5)]])
+    )
+    verdicts = set()
+    for s in (
+        scalar_identity_system(2), diagonal_system(3), constant_diagonal_system(3), rotated
+    ):
+        for m in (1, 2):
+            cert = random_certificate(s, m, rng)
+            for mutated in (cert, *_single_entry_mutations(cert)):
+                accepted = _outcome(verify_certificate, s, mutated)[0] == "ok"
+                assert _meets_the_conditions(s, mutated) == accepted
+                verdicts.add(accepted)
+    assert verdicts == {True, False}
+
+
 # -- verify_xi_certificate ---------------------------------------------------
 
 
@@ -886,6 +921,44 @@ def test_search_validates_inputs():
     for budget in (0, -1):
         with pytest.raises(ValueError, match="restart budget"):
             haemers_upper_search(full_matrix_system(2), 1, budget=budget)
+
+
+def test_search_verifies_what_it_returns(monkeypatch):
+    # the blocks of the full-algebra certificate are matrix units, outside
+    # the scalar span
+    bad = full_matrix_certificate(2)
+    monkeypatch.setattr(search_module, "find_certificate", lambda *args: bad)
+    with pytest.raises(VerificationError) as err:
+        haemers_upper_search(scalar_identity_system(2), 1, m_schedule=[1])
+    assert err.value.kind == "block-membership"
+
+
+def test_haemers_bound_verifies_only_the_constructed_certificate(monkeypatch):
+    # rot(M_2 + C): the constructed certificate is the identity (rank 3),
+    # and the stubbed search returns a verified rank-2 certificate
+    u = ExactMatrix.from_rows(
+        [[1, 0, 0], [0, Fraction(3, 5), Fraction(4, 5)], [0, Fraction(-4, 5), Fraction(3, 5)]]
+    )
+    full, one = full_matrix_system(2), scalar_identity_system(1)
+    base = direct_sum_nc(full, one)
+    s = conjugate_by_unitary(base, u)
+    found = conjugate_certificate(
+        base,
+        direct_sum_certificate(full, full_matrix_certificate(2), one, identity_certificate(1)),
+        u,
+    )
+    assert verify_certificate(s, found) == 2
+    monkeypatch.setattr(certificates_module, "haemers_upper_search", lambda *a, **kw: found)
+    checked = []
+
+    def counting(span, cert):
+        checked.append(cert)
+        return verify_certificate(span, cert)
+
+    monkeypatch.setattr(certificates_module, "verify_certificate", counting)
+    _, cert, method, _ = certificates_module.haemers_bound(s, m_schedule=[1, 2])
+    assert (cert, method) == (found, "search")
+    assert checked == [identity_certificate(3)]
 
 
 # -- lower bounds --------------------------------------------------------------------

@@ -732,6 +732,24 @@ def test_transform_tpmap_round_trip(tmp_path, capsys):
     assert json.loads(back.read_text()) == json.loads(open(c3).read())
 
 
+def test_transform_tpmap_counts_the_operator_pairs(tmp_path, capsys):
+    # identity_certificate(3) has m = 1 block and rank bound k = 3
+    d3 = _write_span(tmp_path, "d3.json", diagonal_system(3))
+    c3 = _write_cert(tmp_path, "c3.json", identity_certificate(3))
+    tp = tmp_path / "tp.json"
+    assert main(["nc", "transform", "tpmap", d3, c3, "-o", str(tp)]) == 0
+    assert len(json.loads(tp.read_text())["E"]) == 1
+    assert "map form, 1 operator pairs, rank 3 ->" in capsys.readouterr().out
+
+
+def test_file_writing_commands_honour_json(file_command, capsys):
+    argv, payload, text = file_command
+    assert main(argv) == 0
+    assert capsys.readouterr().out == text + "\n"
+    assert main([*argv, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == payload
+
+
 def test_usage_error_exits_2(c5_file):
     with pytest.raises(SystemExit) as exc:
         main(["graph", "alpha", c5_file, "--bogus"])

@@ -175,6 +175,16 @@ def test_verify_cert_runs_without_numpy(tmp_path):
     assert _fresh_interpreter(probe).splitlines() == ["rank 9, OK", "0 False"]
 
 
+def test_build_and_transform_run_without_numpy(file_command):
+    argv, _, text = file_command
+    probe = (
+        "import sys, zerocap.cli; "
+        f"code = zerocap.cli.main({argv!r}); "
+        "print(code, 'numpy' in sys.modules)"
+    )
+    assert _fresh_interpreter(probe).splitlines() == [text, "0 False"]
+
+
 def test_every_public_name_resolves():
     import zerocap
 

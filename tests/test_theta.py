@@ -92,8 +92,9 @@ def g40():
     return random_graph(40, 0.5, random.Random(1))
 
 
-def test_theta_iteration_cap_reports_honestly():
-    sol = lovasz_theta(cycle_graph(7), max_iter=3)
+def test_theta_iteration_cap_reports_honestly(monkeypatch):
+    monkeypatch.setattr("zerocap.theta.DEFAULT_MAX_ITER", 3)
+    sol = lovasz_theta(cycle_graph(7))
     assert not sol.converged
     assert sol.upper_bound >= sol.lower_bound
     # upper bound is still a valid bound on theta(C7) = 7 cos(pi/7)/(1 + cos(pi/7))
@@ -103,7 +104,8 @@ def test_theta_iteration_cap_reports_honestly():
     known += [(complete_graph(6), 1.0), (empty_graph(6), 6.0)]
     for g, true in known:
         for cap in range(41):
-            sol = lovasz_theta(g, max_iter=cap)
+            monkeypatch.setattr("zerocap.theta.DEFAULT_MAX_ITER", cap)
+            sol = lovasz_theta(g)
             assert sol.iterations <= cap
             assert sol.lower_bound <= true <= sol.upper_bound, (g.n, cap)
 
