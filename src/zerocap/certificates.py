@@ -23,7 +23,7 @@ chains these into the two-sided bound on H(S).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Optional, Sequence
@@ -56,7 +56,7 @@ from .groebner import (
     factor_variable_count,
 )
 from .independence import IndependentSystem, alpha_lower_search, axis_witness, verify_independent
-from .ncgraph import NcGraph, conjugate_by_unitary
+from .ncgraph import NcGraph, QuantumChannel, conjugate_by_unitary
 from .ncgraph import direct_sum_nc as _direct_sum_span
 from .ncgraph import tensor as _tensor_span
 
@@ -78,8 +78,8 @@ class VerificationError(ValueError):
 
     ``kind`` is a stable machine-readable code ("block-membership",
     "trace", "rank", "factor-mismatch", "shape", "empty-span",
-    "kraus", "cohomomorphism"); ``where`` locates the violation when
-    one index makes sense (e.g. a block pair).
+    "cohomomorphism", "independence"); ``where`` locates the violation
+    when one index makes sense (e.g. a block pair).
     """
 
     def __init__(self, message: str, *, kind: str = "invalid", where=None):
@@ -382,9 +382,9 @@ def constructed_certificate(s: NcGraph) -> tuple[HaemersCertificate, str]:
         best = identity_certificate(s.n), "identity"
     g = s.as_graph()
     if g is not None:
-        rank, fm = best_fitting_matrix(g)
-        if rank < best[0].k:
-            best = lift_graph_certificate(fm), "fitting-lift"
+        lifted = lift_graph_certificate(best_fitting_matrix(g))
+        if lifted.k < best[0].k:
+            best = lifted, "fitting-lift"
     return best
 
 
@@ -482,18 +482,11 @@ def conjugate_certificate(
 ) -> HaemersCertificate:
     """Transport a certificate along a unitary change of basis.
 
-    B' = (I_m x U)^dag B (I_m x U) certifies the conjugated span with the
-    same rank; each factor block F_i becomes F_i U.
+    The one-operator channel [U] of cohomomorphism_apply pulls it back to
+    U^dag s U with the same block count and rank: F_i becomes F_i U.
     """
     target = conjugate_by_unitary(s, u)  # checks that u is an n x n unitary
-    verify_certificate(s, cert)
-
-    def rotated(factor: ExactMatrix) -> ExactMatrix:
-        return hstack([blk @ u for blk in column_blocks(factor, cert.n)])
-
-    out = replace(cert, C=rotated(cert.C), D=rotated(cert.D))
-    verify_certificate(target, out)
-    return out
+    return cohomomorphism_apply([u], cert, source=target, target=s)
 
 
 def cohomomorphism_apply(
@@ -508,30 +501,17 @@ def cohomomorphism_apply(
     ``kraus`` presents a channel whose operators K_a map the source space
     into the target space with sum_a K_a^dag K_a = I, and which witnesses
     source <= target: K_a^dag A K_b must land in the source span for every
-    basis element A of the target span.  Both conditions are checked
-    exactly (the second on span generators, reporting the violating
-    triple).  The composed certificate has block count m * len(kraus)
-    and rank at most rank(cert).
+    basis element A of the target span.  QuantumChannel checks the Kraus
+    family (ValueError); the condition is checked exactly on span
+    generators, reporting the violating triple.  Unitary conjugation is
+    the one-operator case (conjugate_certificate).  The composed
+    certificate has block count m * len(kraus) and rank at most rank(cert).
     """
-    if not kraus:
-        raise ValueError("at least one Kraus operator is required")
-    n_s, n_t = source.n, target.n
-    for idx, op in enumerate(kraus):
-        if op.shape != (n_t, n_s):
-            raise VerificationError(
-                f"Kraus operator {idx} must be {n_t} x {n_s}, got {op.shape}",
-                kind="kraus",
-                where=idx,
-            )
-    total = ExactMatrix.zeros(n_s, n_s)
-    for op in kraus:
-        total = total + (op.conj_transpose() @ op)
-    if total != ExactMatrix.identity(n_s):
-        raise VerificationError(
-            "Kraus operators are not trace preserving "
-            "(sum of K^dag K is not the identity)",
-            kind="kraus",
-        )
+    n_out, n_in = kraus[0].shape if kraus else (target.n, source.n)
+    if (n_in, n_out) != (source.n, target.n):
+        raise ValueError(f"channel maps M_{n_in} -> M_{n_out}, "
+                         f"but source is M_{source.n} and target M_{target.n}")
+    QuantumChannel(source.n, target.n, tuple(kraus))
     basis = target.basis
     for a, ka in enumerate(kraus):
         ka_h = ka.conj_transpose()
@@ -548,10 +528,10 @@ def cohomomorphism_apply(
     verify_certificate(target, cert)
 
     def composed(factor: ExactMatrix) -> ExactMatrix:
-        return hstack([blk @ op for blk in column_blocks(factor, n_t) for op in kraus])
+        return hstack([blk @ op for blk in column_blocks(factor, target.n) for op in kraus])
 
     out = HaemersCertificate(
-        n=n_s, m=cert.m * len(kraus), k=cert.k, C=composed(cert.C), D=composed(cert.D)
+        n=source.n, m=cert.m * len(kraus), k=cert.k, C=composed(cert.C), D=composed(cert.D)
     )
     verify_certificate(source, out)
     return out

@@ -98,15 +98,15 @@ def verify_fitting(fm: FittingMatrix) -> int:
     return b.rank()
 
 
-def _gram_fitting(g: Graph, vectors: Sequence[ExactMatrix]) -> tuple[int, FittingMatrix]:
-    """Verify an orthogonal representation; return its Gram rank and fitting matrix.
+def gram_fitting_matrix(g: Graph, vectors: Sequence[ExactMatrix]) -> FittingMatrix:
+    """Verify an orthogonal representation; return its Gram fitting matrix.
 
     Vectors at non-adjacent vertices must be exactly orthogonal.  Norms
     are nonzero, so the Gram matrix V^dag V is a nonzero-diagonal fitting
     matrix; it is positive semidefinite with rank at most the common
     dimension k for any k x n matrix V, which is what makes the dimension
     an upper-bound certificate for the positive-semidefinite variant of
-    the fitting-matrix program.
+    the fitting-matrix program.  No rank is computed.
     """
     if len(vectors) != g.n:
         raise ValueError(f"need {g.n} vectors, got {len(vectors)}")
@@ -124,27 +124,18 @@ def _gram_fitting(g: Graph, vectors: Sequence[ExactMatrix]) -> tuple[int, Fittin
                 raise ValueError(
                     f"vectors {i} and {j} are not orthogonal across the non-edge"
                 )
-    return gram.rank(), FittingMatrix(g, "nonzero-diagonal", gram)
+    return FittingMatrix(g, "nonzero-diagonal", gram)
 
 
 def orthogonal_rank_verify(g: Graph, vectors: Sequence[ExactMatrix]) -> int:
     """Verify a vector-per-vertex orthogonal representation; return its dimension.
 
     The vectors must be nonzero, share one shape and be exactly orthogonal
-    at non-adjacent vertices (the checks of _gram_fitting); their Gram
+    at non-adjacent vertices (the checks of gram_fitting_matrix); their Gram
     matrix is then positive semidefinite of rank at most that dimension.
     """
-    _gram_fitting(g, vectors)
+    gram_fitting_matrix(g, vectors)
     return vectors[0].rows
-
-
-def gram_fitting_matrix(g: Graph, vectors: Sequence[ExactMatrix]) -> FittingMatrix:
-    """The Gram matrix of a verified orthogonal representation, as a fitting matrix.
-
-    Non-edges produce exact zeros, so the result is a nonzero-diagonal
-    fitting matrix of rank at most the representation dimension.
-    """
-    return _gram_fitting(g, vectors)[1]
 
 
 def unit_diagonal_form(fm: FittingMatrix) -> FittingMatrix:
@@ -155,8 +146,8 @@ def unit_diagonal_form(fm: FittingMatrix) -> FittingMatrix:
     have the same minimum.
     """
     n = fm.graph.n
-    rows = [[fm.b[i, j] / fm.b[i, i] for j in range(n)] for i in range(n)]
-    return FittingMatrix(fm.graph, "unit-diagonal", ExactMatrix.from_rows(rows))
+    inverse = ExactMatrix.from_nonzeros(n, n, {i * (n + 1): ONE / fm.b[i, i] for i in range(n)})
+    return FittingMatrix(fm.graph, "unit-diagonal", inverse @ fm.b)
 
 
 def pentagon_representation() -> list[ExactMatrix]:
@@ -250,13 +241,13 @@ def _representation(g: Graph) -> list[ExactMatrix]:
     ]
 
 
-def best_fitting_matrix(g: Graph) -> tuple[int, FittingMatrix]:
-    """The Gram fitting matrix of _representation(g), with its verified rank.
+def best_fitting_matrix(g: Graph) -> FittingMatrix:
+    """The verified Gram fitting matrix of _representation(g), without its rank.
 
     The matrix has nonzero diagonal; row-scale it with unit_diagonal_form
-    before lifting it to a span certificate.
+    before lifting it to a span certificate, whose k is then its rank.
     """
-    return _gram_fitting(g, _representation(g))
+    return gram_fitting_matrix(g, _representation(g))
 
 
 def bounds_report(
@@ -283,7 +274,8 @@ def bounds_report(
             lower, reason = root, "square root of the strong-square independence number"
 
     representation = _representation(g)
-    upper, fitting = _gram_fitting(g, representation)
+    fitting = gram_fitting_matrix(g, representation)
+    upper = fitting.b.rank()
     xi_upper = representation[0].rows
 
     consistent = bool(alpha <= lower <= upper <= xi_upper and alpha <= theta + 1e-4)

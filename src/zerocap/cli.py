@@ -374,11 +374,6 @@ def _cmd_transform_cohom(args: argparse.Namespace, cfg: CliConfig) -> int:
     source = _load_ncgraph(args.source)
     target = _load_ncgraph(args.target)
     channel = QuantumChannel.from_json_dict(_load_json(args.kraus))
-    if channel.n_in != source.n or channel.n_out != target.n:
-        raise ValueError(
-            f"channel maps M_{channel.n_in} -> M_{channel.n_out}, "
-            f"but source is M_{source.n} and target M_{target.n}"
-        )
     cert = _load_cert(args.certificate)
     out = cohomomorphism_apply(list(channel.kraus), cert, source=source, target=target)
     _write_json(args.output, out.to_json_dict())
@@ -606,7 +601,10 @@ def main(argv: Optional[list[str]] = None) -> int:
                 file=sys.stderr,
             )
             return 1
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        except KeyError as exc:
+            print(f"error: missing field {exc}", file=sys.stderr)
+            return 2
+        except (OSError, ValueError, json.JSONDecodeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         finally:  # after the diagnostic, so stderr still starts with it

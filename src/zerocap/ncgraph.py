@@ -232,12 +232,6 @@ class QuantumChannel:
         if total != ExactMatrix.identity(self.n_in):
             raise ValueError("Kraus operators do not satisfy sum E^dag E = I")
 
-    def apply(self, a: ExactMatrix) -> ExactMatrix:
-        out = ExactMatrix.zeros(self.n_out, self.n_out)
-        for e in self.kraus:
-            out = out + e @ a @ e.H
-        return out
-
     def to_json_dict(self) -> dict:
         return {
             "n_in": self.n_in,

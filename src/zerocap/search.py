@@ -263,9 +263,6 @@ def find_independent_system(
             if any(c is None for c in cols):
                 continue
             candidate = IndependentSystem(n, tuple(cols))
-            try:
-                if verify_independent(s, candidate):
-                    return candidate
-            except ValueError:
-                continue
+            if verify_independent(s, candidate):
+                return candidate
     return None

@@ -524,7 +524,7 @@ def run_check(name: str, seed: int = 0) -> CheckResult:
     for check_name, fn in CHECKS:
         if check_name == name:
             return fn(seed)
-    raise KeyError(f"no check named {name!r}")
+    raise ValueError(f"no check named {name!r}")
 
 
 def run_all(seed: int = 0, jobs: int = 1) -> list[CheckResult]:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from zerocap import exactlinalg
 from zerocap.certificates import (
     identity_certificate,
     independent_witness_kraus,
@@ -14,6 +15,20 @@ from zerocap.classical import gram_fitting_matrix, pentagon_representation, unit
 from zerocap.graphs import cycle_graph
 from zerocap.independence import IndependentSystem
 from zerocap.ncgraph import NcGraph, QuantumChannel, diagonal_system
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """A list that gains one entry, the column count, per run of the exact elimination kernel."""
+    calls = []
+    kernel = exactlinalg._fraction_free_rref
+
+    def counting(*args):
+        calls.append(args[1])
+        return kernel(*args)
+
+    monkeypatch.setattr(exactlinalg, "_fraction_free_rref", counting)
+    return calls
 
 
 @pytest.fixture(

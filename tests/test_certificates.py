@@ -3,8 +3,10 @@
 import hashlib
 import json
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +102,15 @@ def test_certificate_validation():
         HaemersCertificate(n=1, m=2, k=1, C=ExactMatrix.zeros(1, 2), D=ExactMatrix.zeros(1, 2))
     with pytest.raises(ValueError):
         HaemersCertificate(n=2, m=1, k=0, C=ExactMatrix.zeros(0, 2), D=ExactMatrix.zeros(0, 2))
+
+
+def test_verification_error_lists_every_kind_the_package_raises():
+    src = Path(certificates_module.__file__).parent
+    raised = {kind for path in src.glob("*.py")
+              for kind in re.findall(r'kind="([^"]+)"', path.read_text())}
+    doc = " ".join(VerificationError.__doc__.split())
+    listed = set(re.findall(r'"([^"]+)"', doc[doc.index("``kind``"):doc.index("``where``")]))
+    assert listed == raised
 
 
 def test_certificate_json_round_trip():
@@ -543,6 +554,26 @@ def test_cohomomorphism_violation_reports_triple():
     assert len(err.value.where) == 3
 
 
+def test_cohomomorphism_rejects_a_non_trace_preserving_family_as_input():
+    kraus = homomorphism_kraus([0, 1], 2, 3)[:1]
+    with pytest.raises(ValueError, match="sum E\\^dag E = I") as err:
+        cohomomorphism_apply(
+            kraus, identity_certificate(3), source=diagonal_system(2), target=diagonal_system(3)
+        )
+    assert not isinstance(err.value, VerificationError)
+
+
+def test_cohomomorphism_names_the_channel_dimensions():
+    kraus = homomorphism_kraus([0, 1], 2, 3)
+    with pytest.raises(
+        ValueError, match="^channel maps M_2 -> M_3, but source is M_2 and target M_4$"
+    ) as err:
+        cohomomorphism_apply(
+            kraus, identity_certificate(4), source=diagonal_system(2), target=diagonal_system(4)
+        )
+    assert not isinstance(err.value, VerificationError)
+
+
 def test_witness_kraus_unit_norm_vectors():
     s = NcGraph.from_graph(cycle_graph(5))
     wit = IndependentSystem.standard_basis(5, [1, 3])
@@ -911,6 +942,24 @@ def test_constructed_certificate_of_the_pentagon_span_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "8db4748e2b7a5a891b05fd10a8628fc554c0f866cc383521ce8e353ce90fb641"
     )
+
+
+def test_constructed_certificate_of_the_heptagon_span_is_pinned():
+    cert, how = constructed_certificate(NcGraph.from_graph(cycle_graph(7)))
+    text = json.dumps(cert.to_json_dict(), sort_keys=True)
+    assert (how, cert.k) == ("fitting-lift", 4)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9bb2add34e46b86ac28f4990888b928abf731254e079011fec1616a4e8211d54"
+    )
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_constructed_certificate_of_a_cycle_span_eliminates_twice(n, eliminations):
+    s = NcGraph.from_graph(cycle_graph(n))
+    eliminations.clear()  # building the span eliminates too
+    constructed_certificate(s)
+    # verify_fitting's rank inside the lift, then the lift's rank factorization
+    assert len(eliminations) == 2
 
 
 def test_search_validates_inputs():

@@ -127,6 +127,11 @@ def test_orthogonal_rank_violations():
         orthogonal_rank_verify(g, [v1])
 
 
+def test_orthogonal_rank_verify_runs_no_elimination(eliminations):
+    assert orthogonal_rank_verify(cycle_graph(5), pentagon_representation()) == 3
+    assert eliminations == []
+
+
 def test_gram_fitting_matrix_pentagon():
     fm = gram_fitting_matrix(cycle_graph(5), pentagon_representation())
     assert fm.variant == "nonzero-diagonal"
@@ -212,6 +217,12 @@ def _digest(obj):
             "dbfeeb94fd3570aadf363177b410cd43569364354a3e8f91a518a90fbcb1dbcd",
             "c24ecf7d64263f883c5052ed2a56466190eee43399095d818cd0f63eeca7d972",
             id="empty3",
+        ),
+        pytest.param(
+            cycle_graph(7),
+            "0466b0be53e552986e946167e396a6881aac7696b4c011959d3051ce6a073d84",
+            "7d8e9cf8d697c2b8172bec9078cb926cda40ea555f6292ca9f18faadf388b8fc",
+            id="c7",
         ),
     ],
 )

@@ -542,6 +542,16 @@ def test_nc_verify_cert_malformed_input_exits_2(corrupt, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_nc_verify_cert_names_a_missing_field(tmp_path, capsys):
+    cert = identity_certificate(2).to_json_dict()
+    del cert["D"]
+    span_path, cert_path = tmp_path / "span.json", tmp_path / "cert.json"
+    span_path.write_text(json.dumps(scalar_identity_system(2).to_json_dict()))
+    cert_path.write_text(json.dumps(cert))
+    assert main(["nc", "verify-cert", str(span_path), str(cert_path)]) == 2
+    assert capsys.readouterr().err == "error: missing field 'D'\n"
+
+
 def _assert_one_error_line(capsys):
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and err.startswith("error:")
@@ -868,6 +878,11 @@ def test_selftest_single_check(capsys):
     out = capsys.readouterr().out
     assert "PASS pentagon-sandwich" in out
     assert "1/1 checks passed" in out
+
+
+def test_selftest_unknown_check_is_one_plain_error_line(capsys):
+    assert main(["selftest", "paper", "--only", "nosuch"]) == 2
+    assert capsys.readouterr().err == "error: no check named 'nosuch'\n"
 
 
 def test_selftest_json_output(capsys):

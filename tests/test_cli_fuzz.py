@@ -50,7 +50,7 @@ def _targets():
     """name -> (valid document, argv for a file holding it, given the tmp dir)."""
     s = scalar_identity_system(2)
     cert = identity_certificate(2)
-    fitting = unit_diagonal_form(best_fitting_matrix(cycle_graph(3))[1])
+    fitting = unit_diagonal_form(best_fitting_matrix(cycle_graph(3)))
     kraus = QuantumChannel(2, 2, (ExactMatrix.identity(2),))
     return {
         "span": (s.to_json_dict(),
