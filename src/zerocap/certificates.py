@@ -31,8 +31,8 @@ from typing import Optional, Sequence
 from .classical import (
     FittingMatrix,
     best_fitting_matrix,
+    check_fitting,
     unit_diagonal_form,
-    verify_fitting,
 )
 from .graphs import DEFAULT_VERTEX_CAP
 from .exactlinalg import (
@@ -358,7 +358,7 @@ def lift_graph_certificate(fm: FittingMatrix) -> HaemersCertificate:
     of block (i, j), so blocks land in the graph span and the unit diagonal
     turns into the block-trace condition.  Rank is preserved exactly.
     """
-    verify_fitting(fm)
+    check_fitting(fm)
     n = fm.graph.n
     p_fac, q_fac = rank_factorization(unit_diagonal_form(fm).b)
     # e moves entry i of a row to column i of block i
@@ -408,7 +408,7 @@ def project_to_graph_certificate(
     pick = [next(j * n + i for j in range(cert.m) if (j * n + i) * (mn + 1) in nz)
             for i in range(n)]
     fm = FittingMatrix(graph=g, variant="nonzero-diagonal", b=b.submatrix(pick, pick))
-    verify_fitting(fm)
+    check_fitting(fm)
     return fm
 
 

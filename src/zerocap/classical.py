@@ -75,11 +75,10 @@ class FittingMatrix:
         )
 
 
-def verify_fitting(fm: FittingMatrix) -> int:
-    """Exactly check the pattern constraints and return rank(B).
+def check_fitting(fm: FittingMatrix) -> None:
+    """Exactly check the pattern constraints; no elimination runs.
 
-    The returned rank is an upper-bound certificate for 𝓗(G).  Raises
-    ValueError naming the first violated entry.
+    Raises ValueError naming the first violated entry, diagonal entries first.
     """
     g, b = fm.graph, fm.b
     for i in range(g.n):
@@ -95,7 +94,12 @@ def verify_fitting(fm: FittingMatrix) -> int:
                 raise ValueError(
                     f"entry ({i},{j}) = {b[i, j]} must vanish on the non-edge"
                 )
-    return b.rank()
+
+
+def verify_fitting(fm: FittingMatrix) -> int:
+    """check_fitting, then return rank(B), an upper-bound certificate for 𝓗(G)."""
+    check_fitting(fm)
+    return fm.b.rank()
 
 
 def gram_fitting_matrix(g: Graph, vectors: Sequence[ExactMatrix]) -> FittingMatrix:
@@ -184,7 +188,7 @@ def random_fitting_matrix(g: Graph, rng, variant: str = "unit-diagonal") -> Fitt
             elif g.has_edge(i, j):
                 entries[i * n + j] = (rng.randint(-3, 3), rng.randint(-3, 3))
     fm = FittingMatrix(g, variant, ExactMatrix.from_numerators(n, n, entries))
-    verify_fitting(fm)
+    check_fitting(fm)
     return fm
 
 

@@ -294,40 +294,47 @@ def check_cofactors(gens: Sequence[Polynomial], cofactors: Sequence[Polynomial])
 
 def _reduce_full(
     work: Polynomial,
-    rep: list[Polynomial],
-    basis: list[tuple[Polynomial, list[Polynomial]]],
-) -> tuple[Polynomial, list[Polynomial]]:
-    """Full normal form of work modulo basis, updating its representation."""
+    rep: dict[int, Polynomial],
+    basis: list[tuple[Polynomial, dict[int, Polynomial]]],
+    lms: list[Monomial],
+) -> tuple[Polynomial, dict[int, Polynomial]]:
+    """Full normal form of work modulo the monic basis with leading monomials lms.
+
+    rep, a map {generator index: cofactor}, is updated in place on the
+    generators that each reducing basis polynomial carries.
+    """
     remainder: dict[Monomial, Fraction] = {}
     terms = dict(work.terms)
-    nvars = work.nvars
-    lead_cache = [g.leading() for g, _ in basis]
     while terms:
         mon = max(terms, key=degrevlex_key)
         coeff = terms[mon]
-        hit = None
-        for idx, (lm, lc) in enumerate(lead_cache):
+        for idx, lm in enumerate(lms):
             q = mon_div(mon, lm)
             if q is not None:
-                hit = (idx, q, coeff / lc)
                 break
-        if hit is None:
-            remainder[mon] = coeff
-            del terms[mon]
+        else:
+            remainder[mon] = terms.pop(mon)
             continue
-        idx, q, factor = hit
         g, g_rep = basis[idx]
         for m, c in g.terms.items():
             mm = mon_mul(m, q)
-            s = terms.get(mm, Fraction(0)) - c * factor
+            s = terms.get(mm, Fraction(0)) - c * coeff
             if s:
                 terms[mm] = s
             else:
                 terms.pop(mm, None)
-        for gi in range(len(rep)):
-            if not g_rep[gi].is_zero():
-                rep[gi] = rep[gi] - g_rep[gi].term_mul(q, factor)
-    return Polynomial(nvars, remainder), rep
+        _sub_cofactors(rep, g_rep, q, coeff)
+    return Polynomial(work.nvars, remainder), rep
+
+
+def _sub_cofactors(rep: dict[int, Polynomial], other: dict[int, Polynomial], q, coeff) -> None:
+    """rep -= coeff * x^q * other, dropping the cofactors that become zero."""
+    for gi, h in other.items():
+        d = rep.get(gi, Polynomial(h.nvars)) - h.term_mul(q, coeff)
+        if d.is_zero():
+            del rep[gi]
+        else:
+            rep[gi] = d
 
 
 def buchberger(
@@ -339,22 +346,18 @@ def buchberger(
     Normal pair selection in degrevlex: pairs come off a heap keyed on
     (degrevlex key of lcm, (i, j)), so the smallest lcm goes first and
     ties break on the index pair.  Product and chain criteria, cofactor
-    tracking throughout.  DEFAULT_DEGREE_CAP bounds the degree of any
-    new basis polynomial and time_budget the wall clock; exceeding either
+    tracking throughout: each basis polynomial is stored monic, with its
+    leading monomial and a cofactor map {generator index: Polynomial} over
+    the generators it uses; the list parallel to gens is built only when a
+    constant appears.  DEFAULT_DEGREE_CAP bounds the degree of any new
+    basis polynomial and time_budget the wall clock; exceeding either
     yields status "timeout", which decides nothing.
     """
     t0 = time.monotonic()
-    ngens = len(gens)
     nvars = gens[0].nvars if gens else 0
     for g in gens:
         if g.nvars != nvars:
             raise ValueError("generators disagree on variable count")
-
-    def unit_rep(i: int) -> list[Polynomial]:
-        return [
-            Polynomial.constant(nvars, 1) if j == i else Polynomial(nvars)
-            for j in range(ngens)
-        ]
 
     def decision(status, basis, cof, pairs):
         return IdealDecision(
@@ -365,26 +368,26 @@ def buchberger(
             seconds=time.monotonic() - t0,
         )
 
-    basis: list[tuple[Polynomial, list[Polynomial]]] = []
+    basis: list[tuple[Polynomial, dict[int, Polynomial]]] = []
     lms: list[Monomial] = []
     pairs_done = 0
 
-    def add_to_basis(p: Polynomial, rep: list[Polynomial]):
+    def add_to_basis(p: Polynomial, rep: dict[int, Polynomial]):
         """Returns cofactors if p is a nonzero constant, else extends basis."""
         if p.is_zero():
             return None
         if p.is_constant():
             inv = 1 / p.constant_value()
-            return [r.scale(inv) for r in rep]
+            return [rep.get(i, Polynomial(nvars)).scale(inv) for i in range(len(gens))]
         lm, lc = p.leading()
         inv = 1 / lc
-        basis.append((p.scale(inv), [r.scale(inv) for r in rep]))
+        basis.append((p.scale(inv), {gi: h.scale(inv) for gi, h in rep.items()}))
         lms.append(lm)
         return None
 
     # seed with normal forms of the generators
     for i, g in enumerate(gens):
-        r, rep = _reduce_full(g, unit_rep(i), basis)
+        r, rep = _reduce_full(g, {i: Polynomial.constant(nvars, 1)}, basis, lms)
         cof = add_to_basis(r, rep)
         if cof is not None:
             return decision("no-common-root", basis, cof, pairs_done)
@@ -425,18 +428,14 @@ def buchberger(
                     break
         if skip:
             continue
-        gi, repi = basis[i]
-        gj, repj = basis[j]
-        ci = gi.leading()[1]
-        cj = gj.leading()[1]
+        # both polynomials are monic, so the S-polynomial needs no division
+        (gi, repi), (gj, repj) = basis[i], basis[j]
         qi = mon_div(l, li)
         qj = mon_div(l, lj)
-        spoly = gi.term_mul(qi, 1 / ci) - gj.term_mul(qj, 1 / cj)
-        srep = [
-            a.term_mul(qi, Fraction(1) / ci) - b.term_mul(qj, Fraction(1) / cj)
-            for a, b in zip(repi, repj)
-        ]
-        r, rep = _reduce_full(spoly, srep, basis)
+        spoly = gi.term_mul(qi, 1) - gj.term_mul(qj, 1)
+        srep = {t: h.term_mul(qi, 1) for t, h in repi.items()}
+        _sub_cofactors(srep, repj, qj, 1)
+        r, rep = _reduce_full(spoly, srep, basis, lms)
         if r.is_zero():
             continue
         if not r.is_constant() and r.degree() > DEFAULT_DEGREE_CAP:

@@ -24,6 +24,7 @@ from .exactlinalg import (
     ONE,
     format_scalar,
     require_int,
+    require_list,
     parse_scalar,
 )
 from .graphs import Graph, independence_number
@@ -71,10 +72,10 @@ class IndependentSystem:
     @staticmethod
     def from_json_dict(d: dict) -> "IndependentSystem":
         n = require_int(d, "n")
-        vecs = tuple(
-            ExactMatrix(n, 1, [parse_scalar(s) for s in entries])
-            for entries in d["vectors"]
-        )
+        vectors = require_list(d, "vectors")
+        if not all(isinstance(v, list) and len(v) == n for v in vectors):
+            raise ValueError(f"each vector must be a list of {n} scalar strings")
+        vecs = tuple(ExactMatrix(n, 1, [parse_scalar(s) for s in v]) for v in vectors)
         return IndependentSystem(n, vecs)
 
 

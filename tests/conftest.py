@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from zerocap import exactlinalg
+from zerocap import exactlinalg, groebner
 from zerocap.certificates import (
     identity_certificate,
     independent_witness_kraus,
@@ -28,6 +28,20 @@ def eliminations(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(exactlinalg, "_fraction_free_rref", counting)
+    return calls
+
+
+@pytest.fixture
+def leading_terms(monkeypatch):
+    """A list that gains one entry, the polynomial, per call of Polynomial.leading."""
+    calls = []
+    leading = groebner.Polynomial.leading
+
+    def counting(p):
+        calls.append(p)
+        return leading(p)
+
+    monkeypatch.setattr(groebner.Polynomial, "leading", counting)
     return calls
 
 

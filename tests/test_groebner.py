@@ -261,6 +261,20 @@ def test_minor_encoding_frozen_counts():
     assert check_cofactors(enc.polynomials, dec.cofactors)
 
 
+@pytest.mark.parametrize(
+    "system, pairs, basis_size",
+    [(scalar_identity_system(2), 215, 42), (diagonal_system(2), 141, 26)],
+)
+def test_buchberger_finds_each_leading_term_once(system, pairs, basis_size, leading_terms):
+    # the engine reads a basis polynomial's leading term once, when it joins
+    enc = encode_rank_feasibility(system, k=1, m=2)
+    leading_terms.clear()
+    dec = buchberger(enc.polynomials)
+    assert (dec.status, dec.pairs_processed, len(dec.basis)) == (
+        "no-common-root", pairs, basis_size)
+    assert len(leading_terms) == basis_size
+
+
 def test_minor_encoding_guard():
     with pytest.raises(ValueError):
         encode_rank_feasibility(full_matrix_system(3), k=4, m=4, encoding="minor")

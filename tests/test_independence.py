@@ -83,6 +83,15 @@ def test_dimension_mismatch_raises():
         IndependentSystem(3, (ExactMatrix.from_strings([["1"], ["0"]]),))
 
 
+def test_malformed_witness_json_is_an_input_error():
+    with pytest.raises(ValueError, match="'vectors' must be a list"):
+        IndependentSystem.from_json_dict({"n": 2, "vectors": 5})
+    # a bare scalar, or a string read character by character, is no vector
+    for vectors in ([5], ["10", ["0", "1"]]):
+        with pytest.raises(ValueError, match="each vector must be a list of 2 scalar strings"):
+            IndependentSystem.from_json_dict({"n": 2, "vectors": vectors})
+
+
 def verify_by_products(s, sys_):
     """The product loop verify_independent used to run: every basis matrix
     times every vector, then every bra against every other vector's image."""
