@@ -842,10 +842,9 @@ def haemers_bound(
     k_max: Optional[int] = None,
     m_schedule: Optional[Sequence[int]] = None,
     budget: int = DEFAULT_SEARCH_BUDGET,
-    exact_budget: Optional[float] = None,
     seed: int = 0,
-) -> tuple[LowerBoundReport, HaemersCertificate, str, list[str]]:
-    """Bound H(s) from both sides: (lower report, certificate, method, notes).
+) -> tuple[LowerBoundReport, HaemersCertificate, str]:
+    """Bound H(s) from both sides: (lower report, certificate, method).
 
     The lower report is haemers_lower's.  The upper bound is constructed
     before it is searched: the lowest-rank of the full-algebra certificate
@@ -856,16 +855,11 @@ def haemers_bound(
     its first certificate wins.  The method names what gave the upper bound:
     "search", "fitting-lift", "identity" or "full-algebra".
 
-    With exact_budget (Buchberger's wall clock in seconds; None runs no
-    exact pass), every rank k below the certificate's is decided exactly at
-    m = 1 and m = 2, skipping a system of more than
-    EXACT_DECIDE_VAR_GUIDELINE real variables, and a feasible decision
-    replaces the certificate.  Each note reads "rank k: m=1: <status>,
-    m=2: <status>".  The returned certificate has passed
-    verify_certificate once: here when constructed, in haemers_upper_search
-    when searched.  ValueError, before any other work, when s lacks
-    the identity: the diagonal blocks of a certificate sum to I inside s,
-    so none exists.  ValueError too when the schedule has no usable m.
+    The returned certificate has passed verify_certificate once: here when
+    constructed, in haemers_upper_search when searched.  ValueError, before
+    any other work, when s lacks the identity: the diagonal blocks of a
+    certificate sum to I inside s, so none exists.  ValueError too when the
+    schedule has no usable m.
     """
     if not s.contains_identity:
         raise ValueError("the span lacks the identity, so it has no certificate")
@@ -885,22 +879,5 @@ def haemers_bound(
         )
         if found is not None:  # verified by haemers_upper_search
             cert, method = found, "search"
-            rank = _product_rank(cert.C, cert.D)
             break
-
-    exact_notes: list[str] = []
-    if exact_budget is not None:
-        for k in range(1, rank):
-            verdicts = []
-            for m in (1, 2):
-                if factor_variable_count(s.n, k, m) > EXACT_DECIDE_VAR_GUIDELINE:
-                    verdicts.append(f"m={m}: skipped (too many variables)")
-                    continue
-                decision = haemers_exact_decide(
-                    s, k, m, time_budget=exact_budget, seed=seed
-                )
-                verdicts.append(f"m={m}: {decision.status}")
-                if decision.certificate is not None:
-                    cert, method = decision.certificate, "search"
-            exact_notes.append(f"rank {k}: " + ", ".join(verdicts))
-    return lower, cert, method, exact_notes
+    return lower, cert, method

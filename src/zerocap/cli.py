@@ -12,7 +12,7 @@ Subcommands:
 Every command takes ``--json`` for machine-readable output, ``--seed``
 (a non-negative integer, default 0) so searches are reproducible on one
 numpy/BLAS build and CPU (not across them), and ``--config FILE`` pointing
-at a key=value file for the caps (graph-n-cap, sdp-tol, groebner-budget).
+at a key=value file for the caps (graph-n-cap, sdp-tol).
 graph-n-cap is the vertex cap of the exact independence number in
 ``graph alpha`` and ``graph report``; the latter takes alpha of the strong
 square only when n^2 fits under it.  ``selftest paper`` also takes
@@ -68,7 +68,6 @@ from .classical import (
 )
 from .exactlinalg import ExactMatrix, parse_scalar
 from .graphs import DEFAULT_VERTEX_CAP, Graph, independence_number, strong_power
-from .groebner import DEFAULT_TIME_BUDGET
 from .ncgraph import (
     ClassicalChannel,
     NcGraph,
@@ -88,7 +87,6 @@ class CliConfig:
 
     graph_n_cap: int = DEFAULT_VERTEX_CAP
     sdp_tol: float = DEFAULT_TOL
-    groebner_budget: float = DEFAULT_TIME_BUDGET
 
 
 def _load_config(path: Optional[str]) -> CliConfig:
@@ -103,7 +101,7 @@ def _load_config(path: Optional[str]) -> CliConfig:
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key = key.strip()
-        kind = {"graph-n-cap": int, "sdp-tol": float, "groebner-budget": float}.get(key)
+        kind = {"graph-n-cap": int, "sdp-tol": float}.get(key)
         if kind is None:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         number = kind(value.strip())
@@ -286,12 +284,11 @@ def _cmd_nc_haemers(args: argparse.Namespace, cfg: CliConfig) -> int:
     if args.k_max is not None and args.k_max < 1:
         raise ValueError(f"--k-max must be positive, got {args.k_max}")
     s = _load_ncgraph(args.file)
-    lower, cert, method, exact_notes = haemers_bound(
+    lower, cert, method = haemers_bound(
         s,
         k_max=args.k_max,
         m_schedule=_parse_schedule(args.m_schedule),
         budget=args.budget,
-        exact_budget=cfg.groebner_budget if args.exact_tiny else None,
         seed=args.seed,
     )
 
@@ -312,7 +309,6 @@ def _cmd_nc_haemers(args: argparse.Namespace, cfg: CliConfig) -> int:
             "method": method,
             "provenance": f"certificate:{cert_path}",
         },
-        "exact_tiny": exact_notes,
         "operator_system": s.is_operator_system(),
     }
     lines = [
@@ -320,7 +316,6 @@ def _cmd_nc_haemers(args: argparse.Namespace, cfg: CliConfig) -> int:
         f"H <= {reloaded_rank} ({method}, certificate rank {reloaded_rank},"
         f" m={cert.m}) -> {cert_path}",
     ]
-    lines.extend(f"exact: {note}" for note in exact_notes)
     _emit(args, payload, "\n".join(lines))
     return 0
 
@@ -469,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--config",
         metavar="FILE",
-        help="key=value file: graph-n-cap, sdp-tol, groebner-budget",
+        help="key=value file: graph-n-cap, sdp-tol",
     )
 
     parser = argparse.ArgumentParser(
@@ -513,8 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-schedule", help="comma-separated block counts, e.g. 1,2,4")
     p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET,
                    help="search restarts per (k, m)")
-    p.add_argument("--exact-tiny", action="store_true",
-                   help="also run the exact engine below the found rank (m <= 2)")
     p.add_argument("--cert-out", help="certificate path (default <input>-cert.json)")
     p.set_defaults(handler=_cmd_nc_haemers)
 

@@ -283,9 +283,16 @@ class ClassicalChannel:
 
     @staticmethod
     def from_json_dict(d: dict) -> "ClassicalChannel":
+        rows = require_list(d, "probs")
+        if not all(
+            isinstance(row, list)
+            and all(isinstance(p, (str, int)) and not isinstance(p, bool) for p in row)
+            for row in rows
+        ):
+            raise ValueError("each row of 'probs' must be a list of strings or integers")
         try:
-            probs = tuple(tuple(Fraction(p) for p in row) for row in d["probs"])
-        except (TypeError, ZeroDivisionError) as exc:
+            probs = tuple(tuple(Fraction(p) for p in row) for row in rows)
+        except ZeroDivisionError as exc:
             raise ValueError(f"malformed probability in 'probs': {exc}") from None
         return ClassicalChannel(require_int(d, "inputs"), require_int(d, "outputs"), probs)
 

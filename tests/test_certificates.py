@@ -1005,7 +1005,7 @@ def test_haemers_bound_verifies_only_the_constructed_certificate(monkeypatch):
         return verify_certificate(span, cert)
 
     monkeypatch.setattr(certificates_module, "verify_certificate", counting)
-    _, cert, method, _ = certificates_module.haemers_bound(s, m_schedule=[1, 2])
+    _, cert, method = certificates_module.haemers_bound(s, m_schedule=[1, 2])
     assert (cert, method) == (found, "search")
     assert checked == [identity_certificate(3)]
 
@@ -1074,6 +1074,17 @@ def test_decide_rejects_block_count_before_running_the_engine(monkeypatch):
     for m in (0, 2):
         with pytest.raises(ValueError, match="block count"):
             haemers_exact_decide(full_matrix_system(1), 1, m)
+
+
+def test_decide_reports_a_common_root_without_a_certificate(monkeypatch):
+    # the engine finishes without the constant, and the search finds nothing
+    monkeypatch.setattr(certificates_module, "haemers_upper_search", lambda *a, **kw: None)
+    decision = haemers_exact_decide(full_matrix_system(1), 1, 1)
+    assert decision.status == "unknown-feasible"
+    assert decision.certificate is None
+    assert (decision.engine.status, decision.engine.pairs_processed) == (
+        "has-common-root-or-unknown", 3
+    )
 
 
 def test_decide_times_out_to_unknown():

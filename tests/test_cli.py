@@ -4,7 +4,11 @@ import argparse
 import hashlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +41,7 @@ import zerocap.cli as cli_module
 from zerocap.exactlinalg import ExactMatrix
 from zerocap.independence import IndependentSystem
 from zerocap.ncgraph import (
+    ClassicalChannel,
     NcGraph,
     QuantumChannel,
     conjugate_by_unitary,
@@ -106,6 +111,12 @@ def test_graph_power_round_trips(c5_file, capsys):
     out = capsys.readouterr().out
     h = Graph.from_text(out)
     assert h.n == 25 and len(h.edges) == 100
+
+
+def test_graph_power_json(c5_file, capsys):
+    assert main(["graph", "power", c5_file, "-k", "2", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["n"] == 25 and len(data["edges"]) == 100
 
 
 def test_graph_report_re_verifies_from_disk(c5_file, tmp_path, capsys):
@@ -258,26 +269,67 @@ def test_nc_haemers_full_algebra_needs_no_search(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
-def test_nc_haemers_exact_tiny_refutes_rank_one(ci2_file, tmp_path, capsys):
-    cert_out = tmp_path / "cert.json"
-    assert main(["nc", "haemers", ci2_file, "--exact-tiny", "--json",
-                 "--cert-out", str(cert_out)]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["exact_tiny"] == ["rank 1: m=1: infeasible, m=2: infeasible"]
-    assert payload["upper"]["rank"] == 2
-    assert payload["upper"]["method"] == "identity"
-
-
-def test_nc_haemers_exact_tiny_skips_a_system_with_too_many_variables(
-    c5_file, tmp_path, capsys
+@pytest.mark.parametrize(
+    "span, kwargs, flags, bracket, method, digest",
+    [
+        pytest.param(
+            scalar_identity_system(2), {}, [], [2, 2], "identity",
+            "992aa07bd1b604047ac97886c23ffc15c75826d211b8950408a6db50c7bd9e59",
+            id="ci2",
+        ),
+        pytest.param(
+            NcGraph.from_graph(cycle_graph(5)),
+            {"m_schedule": [1, 2], "k_max": 1},
+            ["--m-schedule", "1,2", "--k-max", "1"],
+            [2, 3],
+            "fitting-lift",
+            "b15442b888906110887a08b181dadb1960c67ab08278a5434a4a6779fb445eba",
+            id="sc5",
+        ),
+    ],
+)
+def test_the_two_sided_bound_runs_no_exact_decision(
+    span, kwargs, flags, bracket, method, digest, tmp_path, capsys, monkeypatch
 ):
-    span = tmp_path / "sc5.json"
-    assert main(["nc", "build", "--from-graph", c5_file, "-o", str(span)]) == 0
-    capsys.readouterr()
-    assert main(["nc", "haemers", str(span), "--m-schedule", "1,2", "--exact-tiny",
-                 "--k-max", "1", "--cert-out", str(tmp_path / "cert.json")]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert "exact: rank 1: m=1: infeasible, m=2: skipped (too many variables)" in lines
+    # A rank-1 certificate forces S = M_n and an m = 1 certificate is I_n, so
+    # an exact decision under the variable guideline could never move either
+    # end of the bracket; the bound does not run one.
+    def fail(*args, **kwargs):
+        raise AssertionError("the two-sided bound ran the exact decider")
+
+    monkeypatch.setattr("zerocap.certificates.haemers_exact_decide", fail)
+    lower, cert, got_method = haemers_bound(span, **kwargs)
+    assert [lower.value, verify_certificate(span, cert), got_method] == [*bracket, method]
+    path = _write_span(tmp_path, "span.json", span)
+    cert_out = tmp_path / "cert.json"
+    assert main(["nc", "haemers", path, "--json", "--cert-out", str(cert_out), *flags]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [payload["lower"]["value"], payload["upper"]["rank"]] == bracket
+    assert payload["upper"]["method"] == method
+    text = cert_out.read_text()
+    assert text == json.dumps(cert.to_json_dict(), indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    with pytest.raises(SystemExit) as exc:
+        main(["nc", "haemers", path, "--exact-tiny"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --exact-tiny" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_the_cli(ci2_file, tmp_path, capsys):
+    argv = ["nc", "haemers", ci2_file, "--json", "--cert-out", str(tmp_path / "cert.json")]
+    assert main(argv) == 0
+    expected = json.loads(capsys.readouterr().out)
+    src = Path(cli_module.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    run = subprocess.run([sys.executable, "-m", "zerocap", *argv],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0 and json.loads(run.stdout) == expected
+    run = subprocess.run([sys.executable, "-m", "zerocap", *argv, "--exact-tiny"],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 2
+    assert "unrecognized arguments: --exact-tiny" in run.stderr
+    assert "Traceback" not in run.stderr
 
 
 def test_nc_haemers_takes_the_search_certificate_below_the_constructed_rank(
@@ -325,16 +377,10 @@ def test_nc_haemers_takes_the_search_certificate_below_the_constructed_rank(
                          ["--m-schedule", "1,2"], id=f"corner-{p}/4")
             for p in (1, 2, 3)
         ),
-        pytest.param(
-            scalar_identity_system(2),
-            {"exact_budget": cli_module.CliConfig().groebner_budget},
-            ["--exact-tiny"],
-            id="ci2-exact",
-        ),
     ],
 )
 def test_haemers_bound_is_what_nc_haemers_prints(span, kwargs, flags, tmp_path, capsys):
-    lower, cert, method, notes = haemers_bound(span, **kwargs)
+    lower, cert, method = haemers_bound(span, **kwargs)
     path = _write_span(tmp_path, "span.json", span)
     cert_out = tmp_path / "cert.json"
     assert main(["nc", "haemers", path, "--json", "--cert-out", str(cert_out), *flags]) == 0
@@ -347,7 +393,6 @@ def test_haemers_bound_is_what_nc_haemers_prints(span, kwargs, flags, tmp_path, 
         "method": method,
         "provenance": f"certificate:{cert_out}",
     }
-    assert payload["exact_tiny"] == notes
     assert cert_out.read_text() == json.dumps(cert.to_json_dict(), indent=2) + "\n"
 
 
@@ -443,7 +488,6 @@ def test_defaults_have_one_source():
     assert args.budget == DEFAULT_SEARCH_BUDGET
     for fn in (haemers_upper_search, haemers_bound):
         assert inspect.signature(fn).parameters["budget"].default == DEFAULT_SEARCH_BUDGET
-    assert cli_module.CliConfig().groebner_budget == DEFAULT_TIME_BUDGET
     for fn in (haemers_exact_decide, buchberger):
         assert inspect.signature(fn).parameters["time_budget"].default == DEFAULT_TIME_BUDGET
 
@@ -467,6 +511,13 @@ def test_every_command_rejects_a_negative_seed(command, capsys):
     assert exc.value.code == 2
     err_lines = [l for l in capsys.readouterr().err.splitlines() if "error:" in l]
     assert len(err_lines) == 1 and "--seed" in err_lines[0]
+
+
+def test_a_non_integer_seed_exits_2(c5_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["graph", "alpha", c5_file, "--seed", "abc"])
+    assert exc.value.code == 2
+    assert "--seed: invalid int value: 'abc'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("schedule", ["0", "100", ""])
@@ -499,6 +550,20 @@ def test_nc_verify_cert_failure_exits_1(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "verification"
     assert err["kind"] == "shape"
+
+
+def test_nc_verify_cert_psd_kind_needs_identical_factors(ci2_file, tmp_path, capsys):
+    cert = identity_certificate(2)
+    cert_path = _write_cert(tmp_path, "id2.json", cert)
+    assert main(["nc", "verify-cert", ci2_file, cert_path, "--kind", "psd"]) == 0
+    assert "rank 2, OK" in capsys.readouterr().out
+    # 2C and D/2 give the same B = C^dag D, which is no longer C^dag C
+    scaled = HaemersCertificate(cert.n, cert.m, cert.k, cert.C * 2, cert.D * Fraction(1, 2))
+    assert verify_certificate(scalar_identity_system(2), scaled) == 2
+    scaled_path = _write_cert(tmp_path, "scaled.json", scaled)
+    assert main(["nc", "verify-cert", ci2_file, scaled_path, "--kind", "psd"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["kind"]) == ("verification", "factor-mismatch")
 
 
 def _null_n(span, cert):
@@ -617,6 +682,22 @@ def test_nc_build_classical_zero_denominator_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "probs", [["11"], [[True, "1"]]], ids=["string-row", "bool-entry"]
+)
+def test_nc_build_classical_malformed_row_exits_2(probs, tmp_path, capsys):
+    doc = {"inputs": 2, "outputs": 1, "probs": probs}
+    with pytest.raises(ValueError, match="probs"):
+        ClassicalChannel.from_json_dict(doc)
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "span.json"
+    assert main(["nc", "build", "--from-classical", str(path), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith("error:")
+    assert not out.exists()
 
 
 def test_transform_dsum_and_tensor(tmp_path, capsys):
@@ -852,14 +933,12 @@ def test_nc_haemers_above_the_vertex_cap_keeps_the_subspace_bound(tmp_path, caps
 
 
 @pytest.mark.parametrize(
-    "line", ["groebner-budget = -1", "groebner-budget = 0", "graph-n-cap = 0",
-             "graph-n-cap = -3", "sdp-tol = 0"],
+    "line", ["graph-n-cap = 0", "graph-n-cap = -3", "sdp-tol = 0"],
 )
 def test_config_rejects_a_nonpositive_value(line, ci2_file, tmp_path, capsys):
-    # a budget of -1 used to turn the scalar span's proved "infeasible" into "unknown"
     cfg = tmp_path / "caps.cfg"
     cfg.write_text("# caps\n" + line + "\n")
-    assert main(["nc", "haemers", ci2_file, "--exact-tiny", "--config", str(cfg)]) == 2
+    assert main(["nc", "haemers", ci2_file, "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     key = line.split("=")[0].strip()
     assert captured.out == ""
@@ -868,7 +947,7 @@ def test_config_rejects_a_nonpositive_value(line, ci2_file, tmp_path, capsys):
 
 def test_config_unknown_key_exits_2(c5_file, tmp_path, capsys):
     cfg = tmp_path / "caps.cfg"
-    for line in ("not-a-cap = 1", "m-cap = 4"):
+    for line in ("not-a-cap = 1", "m-cap = 4", "groebner-budget = 60"):
         cfg.write_text(line + "\n")
         assert main(["graph", "alpha", c5_file, "--config", str(cfg)]) == 2
 
