@@ -35,6 +35,7 @@ The pentagon, for example:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -342,13 +343,17 @@ def _emit_cert(args: argparse.Namespace, cert: HaemersCertificate) -> None:
 
 
 def _cmd_transform_pair(args: argparse.Namespace, cfg: CliConfig) -> int:
-    """tensor and dsum: args.cert_op combines the certificates, args.span_op the spans."""
+    """tensor and dsum: combine two certificates, and with --system-out the spans."""
+    if args.transform == "tensor":
+        cert_op, span_op = tensor_certificate, tensor
+    else:
+        cert_op, span_op = direct_sum_certificate, direct_sum_nc
     s, t = _load_ncgraph(args.system1), _load_ncgraph(args.system2)
     c1, c2 = _load_cert(args.cert1), _load_cert(args.cert2)
-    out = args.cert_op(s, c1, t, c2)
+    out = cert_op(s, c1, t, c2)
     _write_json(args.output, out.to_json_dict())
     if args.system_out:
-        _write_json(args.system_out, args.span_op(s, t).to_json_dict())
+        _write_json(args.system_out, span_op(s, t).to_json_dict())
     _emit_cert(args, out)
     return 0
 
@@ -457,7 +462,14 @@ def _seed(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and then reused.
+
+    Every caller in the process shares it, so none may change it.  Handlers
+    are module functions that look up library functions when they run, so
+    the cached parser holds no library function.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--seed", type=_seed, default=0, help="seed for all searches")
@@ -521,10 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr = nsub.add_parser("transform", help="derive new certificates from old")
     tsub = tr.add_subparsers(dest="transform", required=True)
 
-    for name, cert_op, span_op, what in (
-        ("tensor", tensor_certificate, tensor, "product"),
-        ("dsum", direct_sum_certificate, direct_sum_nc, "direct-sum"),
-    ):
+    for name, what in (("tensor", "product"), ("dsum", "direct-sum")):
         p = tsub.add_parser(name, parents=[common])
         p.add_argument("system1")
         p.add_argument("cert1")
@@ -532,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("cert2")
         p.add_argument("-o", "--output", required=True)
         p.add_argument("--system-out", help=f"also write the {what} span")
-        p.set_defaults(handler=_cmd_transform_pair, cert_op=cert_op, span_op=span_op)
+        p.set_defaults(handler=_cmd_transform_pair)
 
     p = tsub.add_parser("conjugate", parents=[common])
     p.add_argument("system")
@@ -580,8 +589,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; return its exit code (argparse exits 2 on a usage error).
+
+    The argparse tree is built once per process, on the first call, and
+    every later call in the process parses with the same parser.
+    """
+    args = build_parser().parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:

@@ -970,3 +970,114 @@ def test_selftest_json_output(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
     assert [(r["name"], r["ok"]) for r in payload["results"]] == [("pentagon-sandwich", True)]
+
+
+# -- the parser is built once per process --------------------------------
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """A list whose length counts the argparse parsers built from now on;
+    build_parser's cache starts empty and is emptied again afterwards."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli_module.build_parser.cache_clear()
+    yield built
+    cli_module.build_parser.cache_clear()
+
+
+def test_successive_commands_build_the_parser_once(c5_file, parsers_built, capsys):
+    assert main(["graph", "alpha", c5_file]) == 0
+    first = len(parsers_built)
+    assert first > 0
+    for _ in range(4):
+        assert main(["graph", "alpha", c5_file, "--json"]) == 0
+    assert len(parsers_built) == first
+    assert capsys.readouterr().out.count('"alpha": 2') == 4
+
+
+def test_options_do_not_leak_into_the_next_command(ci2_file, tmp_path, capsys,
+                                                   monkeypatch):
+    seeds = []
+    real = cli_module.haemers_bound
+
+    def recording(*args, seed, **kwargs):
+        seeds.append(seed)
+        return real(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(cli_module, "haemers_bound", recording)
+    cert_out = str(tmp_path / "cert.json")
+    assert main(["nc", "haemers", ci2_file, "--json", "--seed", "5",
+                 "--cert-out", cert_out]) == 0
+    assert json.loads(capsys.readouterr().out)["upper"]["rank"] == 2
+    assert main(["nc", "haemers", ci2_file, "--cert-out", cert_out]) == 0
+    assert capsys.readouterr().out.startswith("H >= 2 ")
+    assert seeds == [5, 0]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [["graph", "alpha", "--no-such-option"], ["nc", "transform", "tensor", "a.json"]],
+    ids=["unknown-option", "missing-argument"],
+)
+def test_a_usage_error_leaves_the_next_command_working(bad, c5_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["graph", "alpha", c5_file]) == 0
+    assert capsys.readouterr().out == "alpha = 2 (witness [0, 2])\n"
+
+
+@pytest.mark.parametrize(
+    "transform, name",
+    [("tensor", "tensor_certificate"), ("dsum", "direct_sum_certificate")],
+)
+def test_a_transform_runs_the_library_function_patched_after_the_first_command(
+    transform, name, tmp_path, capsys, monkeypatch
+):
+    d2 = _write_span(tmp_path, "d2.json", diagonal_system(2))
+    c2 = _write_cert(tmp_path, "c2.json", identity_certificate(2))
+    argv = ["nc", "transform", transform, d2, c2, d2, c2, "-o", str(tmp_path / "out.json")]
+    assert main(argv) == 0
+    calls = []
+    real = getattr(cli_module, name)
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli_module, name, recording)
+    assert main(argv) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out.count("-> ") == 2
+
+
+def test_importing_the_cli_builds_no_parser():
+    # In a fresh interpreter: the parser is built by the first command, so
+    # the start-up time of every in-process caller holds no parser.
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(self)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import zerocap.cli\n"
+        "print(len(built))\n"
+        "zerocap.cli.build_parser()\n"
+        "print(len(built) > 0)\n"
+    )
+    src = Path(cli_module.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["0", "True"]
