@@ -32,7 +32,7 @@ from .classical import (
     FittingMatrix,
     best_fitting_matrix,
     check_fitting,
-    unit_diagonal_scaling,
+    unit_diagonal_form,
 )
 from .graphs import DEFAULT_VERTEX_CAP
 from .exactlinalg import (
@@ -56,7 +56,7 @@ from .groebner import (
     factor_variable_count,
 )
 from .independence import IndependentSystem, alpha_lower_search, axis_witness, verify_independent
-from .ncgraph import NcGraph, QuantumChannel
+from .ncgraph import NcGraph, QuantumChannel, conjugate_by_unitary
 from .ncgraph import direct_sum_nc as _direct_sum_span
 from .ncgraph import tensor as _tensor_span
 
@@ -359,20 +359,14 @@ def lift_graph_certificate(fm: FittingMatrix) -> HaemersCertificate:
     turns into the block-trace condition.  Rank is preserved exactly.
     """
     check_fitting(fm)
-    return _lifted(fm, *rank_factorization(fm.b))
+    return _lifted(fm.graph.n, *rank_factorization(unit_diagonal_form(fm).b))
 
 
-def _lifted(fm: FittingMatrix, p_fac: ExactMatrix, q_fac: ExactMatrix) -> HaemersCertificate:
-    """lift_graph_certificate(fm) from a rank factorization p_fac @ q_fac of fm.b.
-
-    Row scaling keeps the reduced row echelon form, so the unit-diagonal
-    form factors as (unit_diagonal_scaling(fm) @ p_fac) @ q_fac.
-    """
-    n = fm.graph.n
-    p_unit = unit_diagonal_scaling(fm) @ p_fac
+def _lifted(n: int, p_fac: ExactMatrix, q_fac: ExactMatrix) -> HaemersCertificate:
+    """The lift of a unit-diagonal n x n fitting matrix factored as p_fac @ q_fac."""
     # e moves entry i of a row to column i of block i
     e = ExactMatrix.from_numerators(n, n * n, {i * (n * n + n + 1): (1, 0) for i in range(n)})
-    return HaemersCertificate(n=n, m=n, k=q_fac.rows, C=p_unit.H @ e, D=q_fac @ e)
+    return HaemersCertificate(n=n, m=n, k=q_fac.rows, C=p_fac.H @ e, D=q_fac @ e)
 
 
 def constructed_certificate(s: NcGraph) -> tuple[HaemersCertificate, str]:
@@ -392,10 +386,9 @@ def constructed_certificate(s: NcGraph) -> tuple[HaemersCertificate, str]:
         best = identity_certificate(s.n), "identity"
     g = s.as_graph()
     if g is not None:
-        fm = best_fitting_matrix(g)
-        p_fac, q_fac = rank_factorization(fm.b)
+        p_fac, q_fac = rank_factorization(unit_diagonal_form(best_fitting_matrix(g)).b)
         if q_fac.rows < best[0].k:
-            best = _lifted(fm, p_fac, q_fac), "fitting-lift"
+            best = _lifted(s.n, p_fac, q_fac), "fitting-lift"
     return best
 
 
@@ -495,13 +488,9 @@ def conjugate_certificate(
 
     The one-operator channel [U] of cohomomorphism_apply pulls it back to
     U^dag s U with the same block count and rank: F_i becomes F_i U.
-    Unitarity is checked once, as that channel's sum U^dag U = I.
     """
-    if u.shape != (s.n, s.n):
-        raise ValueError("unitary dimension mismatch")
-    uh = u.H
-    source = NcGraph.span_from_generators(s.n, [uh @ a @ u for a in s.basis])
-    return cohomomorphism_apply([u], cert, source=source, target=s)
+    target = conjugate_by_unitary(s, u)  # checks that u is an n x n unitary
+    return cohomomorphism_apply([u], cert, source=target, target=s)
 
 
 def cohomomorphism_apply(

@@ -142,20 +142,16 @@ def orthogonal_rank_verify(g: Graph, vectors: Sequence[ExactMatrix]) -> int:
     return vectors[0].rows
 
 
-def unit_diagonal_scaling(fm: FittingMatrix) -> ExactMatrix:
-    """The diagonal matrix of the inverses of fm's diagonal entries."""
-    n = fm.graph.n
-    return ExactMatrix.from_nonzeros(n, n, {i * (n + 1): ONE / fm.b[i, i] for i in range(n)})
-
-
 def unit_diagonal_form(fm: FittingMatrix) -> FittingMatrix:
     """Row-scale a nonzero-diagonal fitting matrix to unit diagonal.
 
-    Left multiplication by an invertible diagonal matrix (here
-    unit_diagonal_scaling) preserves both the rank and the zero pattern,
-    which is the whole reason the two variants have the same minimum.
+    Left multiplication by an invertible diagonal matrix preserves both the
+    rank and the zero pattern, which is the whole reason the two variants
+    have the same minimum.
     """
-    return FittingMatrix(fm.graph, "unit-diagonal", unit_diagonal_scaling(fm) @ fm.b)
+    n = fm.graph.n
+    inverse = ExactMatrix.from_nonzeros(n, n, {i * (n + 1): ONE / fm.b[i, i] for i in range(n)})
+    return FittingMatrix(fm.graph, "unit-diagonal", inverse @ fm.b)
 
 
 def pentagon_representation() -> list[ExactMatrix]:
@@ -252,8 +248,8 @@ def _representation(g: Graph) -> list[ExactMatrix]:
 def best_fitting_matrix(g: Graph) -> FittingMatrix:
     """The verified Gram fitting matrix of _representation(g), without its rank.
 
-    The matrix has nonzero diagonal; lifting it to a span certificate
-    row-scales it to unit diagonal, and the certificate's k is its rank.
+    The matrix has nonzero diagonal; row-scale it with unit_diagonal_form
+    before lifting it to a span certificate, whose k is then its rank.
     """
     return gram_fitting_matrix(g, _representation(g))
 

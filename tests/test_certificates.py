@@ -39,7 +39,6 @@ from zerocap.certificates import (
 )
 from zerocap.certificates import _four_square
 import zerocap.certificates as certificates_module
-import zerocap.ncgraph as ncgraph_module
 import zerocap.search as search_module
 from zerocap.classical import (
     FittingMatrix,
@@ -522,26 +521,6 @@ def test_conjugate_rejects_non_unitary():
         )
 
 
-def test_conjugate_checks_unitarity_once(monkeypatch):
-    checks = []
-    check_unitary = ncgraph_module.check_unitary
-    post_init = ncgraph_module.QuantumChannel.__post_init__
-
-    def counted_check(u):
-        checks.append("check_unitary")
-        check_unitary(u)
-
-    def counted_channel(channel):
-        checks.append("channel")
-        post_init(channel)
-
-    monkeypatch.setattr(ncgraph_module, "check_unitary", counted_check)
-    monkeypatch.setattr(ncgraph_module.QuantumChannel, "__post_init__", counted_channel)
-    perm = ExactMatrix.from_strings([["0", "1", "0"], ["0", "0", "1"], ["1", "0", "0"]])
-    conjugate_certificate(scalar_identity_system(3), identity_certificate(3), perm)
-    assert checks == ["channel"]
-
-
 # -- cohomomorphisms -----------------------------------------------------------
 
 
@@ -992,20 +971,20 @@ def test_constructed_certificate_of_a_cycle_span_eliminates_once(n, eliminations
 def test_constructed_certificate_lifts_only_a_winning_fitting_matrix(
     g, method, eliminations, monkeypatch
 ):
-    scalings = []
-    scaling = certificates_module.unit_diagonal_scaling
+    lifts = []
+    lifted = certificates_module._lifted
 
-    def counted(fm):
-        scalings.append(fm)
-        return scaling(fm)
+    def counted(n, p_fac, q_fac):
+        lifts.append(n)
+        return lifted(n, p_fac, q_fac)
 
-    monkeypatch.setattr(certificates_module, "unit_diagonal_scaling", counted)
+    monkeypatch.setattr(certificates_module, "_lifted", counted)
     s = NcGraph.from_graph(g)
     eliminations.clear()
     assert constructed_certificate(s)[1] == method
     # the fitting rank decides before the lift, and the winner is factored once
     assert len(eliminations) == 1
-    assert len(scalings) == (method == "fitting-lift")
+    assert len(lifts) == (method == "fitting-lift")
 
 
 def test_search_validates_inputs():
