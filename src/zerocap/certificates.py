@@ -675,7 +675,13 @@ def haemers_upper_search(
 ) -> Optional[HaemersCertificate]:
     """Numeric search for a rank-k certificate; only verified output escapes.
 
-    For each block count m of the schedule, up to ``budget`` restarts run
+    The schedule is validated by block_count_schedule, then cut to the m with
+    m * k >= n: the diagonal blocks B_ii = C_i^dag D_i have rank at most k
+    and sum to I_n, so fewer blocks cannot carry a rank-k certificate.  When
+    no m is left the answer is None, a proof of absence, and no float work
+    starts, so numpy is not loaded.
+
+    For each remaining block count m, up to ``budget`` restarts run
     alternating least squares on float factors C, D of shape k x mn.  Each
     half step exactly minimizes the squared violation of block membership
     (orthogonal projection residual against the span) plus the block-trace
@@ -702,7 +708,10 @@ def haemers_upper_search(
         raise ValueError("rank bound k must be positive")
     if budget < 1:
         raise ValueError(f"restart budget must be positive, got {budget}")
-    schedule = block_count_schedule(s.n, m_schedule)
+    # n = rank(sum_i B_ii) <= sum_i rank(B_ii) <= m * k
+    schedule = [m for m in block_count_schedule(s.n, m_schedule) if m * k >= s.n]
+    if not schedule:
+        return None
     from . import search
     cert = search.find_certificate(s, k, schedule, budget, seed)
     if cert is not None:
@@ -738,9 +747,11 @@ def haemers_lower(s: NcGraph, *, seed: int = 0) -> LowerBoundReport:
     span is a proper subspace of the full matrix algebra; and at least
     the size of any verified independent vector system (via the
     compression bound).  The report labels which argument won.  On a graph
-    span the axis witness is alpha(G), so only other spans search past it;
-    above graphs.DEFAULT_VERTEX_CAP no witness is sought, and a contribution
-    of 0 says so.
+    span the axis witness is alpha(G), so only other spans search past it,
+    and alpha_lower_search answers a target of n without searching when the
+    span is not commutative or has dimension above n, where n independent
+    vectors cannot exist; above graphs.DEFAULT_VERTEX_CAP no witness is
+    sought, and a contribution of 0 says so.
     """
     contributions: list[tuple[int, str]] = [
         (1, "every certificate has rank at least 1")
@@ -856,6 +867,7 @@ def haemers_bound(
     best fitting matrix.  The float search (haemers_upper_search over
     m_schedule with ``budget`` restarts) then runs only for k from the
     lower bound up to min(k_max, that rank - 1), k_max defaulting to n, and
+    for each k only at the block counts m >= ceil(n / k) of the schedule;
     its first certificate wins.  The method names what gave the upper bound:
     "search", "fitting-lift", "identity" or "full-algebra".
 

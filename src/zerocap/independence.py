@@ -136,7 +136,11 @@ def alpha_lower_search(
 
     Graph-form spans are handled exactly: the axis witness decides the
     question outright and its first l_target vectors are returned (so a
-    None answer is a proof of absence there).  Otherwise the
+    None answer is a proof of absence there).  A span containing I makes the
+    vectors pairwise orthogonal, so a target above n is None, and so is a
+    target of n when S has dimension above n or two basis matrices that do
+    not commute: n such vectors form a unitary U with U^dag A U diagonal for
+    every A in S.  Those answers are proofs too.  Otherwise the
     search alternates smallest-eigenvector updates over l_target vectors,
     driving the residual sum of |<psi_i|A_b|psi_j>|^2 toward zero, then
     rationalizes each vector (largest entry scaled to 1, denominators
@@ -154,6 +158,14 @@ def alpha_lower_search(
         if witness is None or witness.size < l_target:
             return None
         return IndependentSystem(n, witness.vectors[:l_target])
+
+    if s.contains_identity and l_target >= n:
+        # the vectors are orthogonal; n of them diagonalise S simultaneously
+        if l_target > n or s.dim > n:
+            return None
+        basis = s.basis  # at most n matrices
+        if any(a @ b != b @ a for i, a in enumerate(basis) for b in basis[i + 1:]):
+            return None
 
     if l_target == 1:
         out = IndependentSystem.standard_basis(n, [0])

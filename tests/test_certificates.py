@@ -133,11 +133,14 @@ def test_full_matrix_algebra_rank_one():
         cert = full_matrix_certificate(n)
         assert cert.m == n and cert.k == 1
         assert verify_certificate(full_matrix_system(n), cert) == 1
+        assert cert.m * 1 >= n  # the block-count floor m * k >= n, met with equality
 
 
 def test_scalar_identity_span_rank_n():
     for n in range(1, 5):
-        assert verify_certificate(scalar_identity_system(n), identity_certificate(n)) == n
+        cert = identity_certificate(n)
+        assert verify_certificate(scalar_identity_system(n), cert) == n
+        assert cert.m * n >= n  # the block-count floor
 
 
 def test_diagonal_span_rank_n():
@@ -201,6 +204,7 @@ def test_rank_matches_float_oracle_on_random_certificates():
             exact = verify_certificate(s, cert)
             numeric = np.linalg.matrix_rank(cert.matrix().to_complex(), tol=1e-9)
             assert exact == numeric == cert.k
+            assert m * exact >= s.n  # the block-count floor
 
 
 def _block_loop_verify(s, cert):
@@ -999,12 +1003,33 @@ def test_search_validates_inputs():
 
 def test_search_verifies_what_it_returns(monkeypatch):
     # the blocks of the full-algebra certificate are matrix units, outside
-    # the scalar span
+    # the scalar span; m = 2 meets the floor m * k >= n, so the stub is reached
     bad = full_matrix_certificate(2)
     monkeypatch.setattr(search_module, "find_certificate", lambda *args: bad)
     with pytest.raises(VerificationError) as err:
-        haemers_upper_search(scalar_identity_system(2), 1, m_schedule=[1])
+        haemers_upper_search(scalar_identity_system(2), 1, m_schedule=[2])
     assert err.value.kind == "block-membership"
+
+
+def test_search_below_the_block_count_floor_is_skipped(monkeypatch):
+    # a rank-2 certificate of a span in M_5 needs m * 2 >= 5, so m >= 3
+    def no_float_search(*args):
+        raise AssertionError("the float search ran")
+
+    monkeypatch.setattr(search_module, "find_certificate", no_float_search)
+    c5 = NcGraph.from_graph(cycle_graph(5))
+    assert haemers_upper_search(c5, 2, m_schedule=[1, 2]) is None
+
+
+def test_search_runs_only_at_block_counts_above_the_floor(monkeypatch):
+    schedules = []
+
+    def recording(s, k, schedule, budget, seed):
+        schedules.append(list(schedule))
+
+    monkeypatch.setattr(search_module, "find_certificate", recording)
+    assert haemers_upper_search(corner_family(Fraction(1, 2)), 2, m_schedule=[1, 2]) is None
+    assert schedules == [[2]]  # n = 3, k = 2: m = 1 is below the floor
 
 
 def test_haemers_bound_verifies_only_the_constructed_certificate(monkeypatch):

@@ -175,6 +175,26 @@ def test_verify_cert_runs_without_numpy(tmp_path):
     assert _fresh_interpreter(probe).splitlines() == ["rank 9, OK", "0 False"]
 
 
+def test_nc_haemers_below_the_block_count_floor_runs_without_numpy(tmp_path):
+    # the pentagon span searches only k = 2, where m * 2 >= 5 rules out
+    # m = 1 and m = 2, so no float search starts
+    from zerocap.graphs import cycle_graph
+    from zerocap.ncgraph import NcGraph
+
+    span, cert = tmp_path / "sc5.json", tmp_path / "sc5-cert.json"
+    span.write_text(json.dumps(NcGraph.from_graph(cycle_graph(5)).to_json_dict()))
+    probe = (
+        "import sys, zerocap.cli; "
+        f"code = zerocap.cli.main(['nc', 'haemers', {str(span)!r}, '--m-schedule', '1,2']); "
+        "print(code, 'numpy' in sys.modules)"
+    )
+    assert _fresh_interpreter(probe).splitlines() == [
+        "H >= 2 (proper subspace of the full matrix algebra)",
+        f"H <= 3 (fitting-lift, certificate rank 3, m=5) -> {cert}",
+        "0 False",
+    ]
+
+
 def test_build_and_transform_run_without_numpy(file_command):
     argv, _, text = file_command
     probe = (

@@ -22,6 +22,7 @@ from zerocap.ncgraph import (
     full_matrix_system,
     tensor,
 )
+import zerocap.search as search_module
 
 
 def test_standard_basis_independent_for_diagonal():
@@ -228,6 +229,37 @@ def test_search_numeric_path_on_rotated_span():
     out = alpha_lower_search(s, 2)
     assert out is not None and out.size == 2
     assert verify_independent(s, out)
+
+
+def _rotated(s):
+    u = ExactMatrix.from_strings([["3/5", "4/5", "0"], ["-4/5", "3/5", "0"], ["0", "0", "1"]])
+    return conjugate_by_unitary(s, u)
+
+
+def _noncommutative_span():
+    x = ExactMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    y = ExactMatrix.from_rows([[0, 0, 0], [0, 0, 1], [0, 1, 0]])
+    assert x @ y != y @ x
+    s = _rotated(NcGraph.span_from_generators(3, [ExactMatrix.identity(3), x, y]))
+    assert s.dim == 3
+    return s
+
+
+@pytest.mark.parametrize("make_span, target", [
+    (lambda: corner_family(Fraction(1, 2)), 3),  # dim 4 > n
+    (_noncommutative_span, 3),  # dim 3 = n, but not commutative
+    (lambda: _rotated(diagonal_system(3)), 4),  # more than n vectors
+], ids=["dimension-above-n", "noncommutative", "target-above-n"])
+def test_search_is_skipped_where_the_identity_rules_a_system_out(make_span, target, monkeypatch):
+    # with I in S independent vectors are orthogonal, and n of them form a
+    # unitary that diagonalises every element of S
+    def no_float_search(*args):
+        raise AssertionError("the float search ran")
+
+    monkeypatch.setattr(search_module, "find_independent_system", no_float_search)
+    s = make_span()
+    assert s.as_graph() is None and s.contains_identity
+    assert alpha_lower_search(s, target) is None
 
 
 def test_search_validates_target():
