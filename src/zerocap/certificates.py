@@ -654,15 +654,32 @@ def from_tp_map(tp: TpMapCertificate) -> HaemersCertificate:
 # -- numeric search ----------------------------------------------------
 
 
-def block_count_schedule(n: int, m_schedule: Optional[Sequence[int]] = None) -> list[int]:
-    """Block counts to search in M_n, ascending: m_schedule (default 1, 2, n,
-    n^2) cut to [1, n^4]; ValueError when none is left."""
+def block_count_schedule(
+    n: int, k: int, m_schedule: Optional[Sequence[int]] = None
+) -> list[int]:
+    """The block counts a rank-k search in M_n runs, ascending.
+
+    m_schedule (default 1, 2, n, n^2) is cut to the sanity cap [1, n^4];
+    ValueError when none is left.  Then what a proof rules out goes, so
+    every m returned lies in [ceil(n/k), kn], and none may be left:
+
+    - m with m * k < n is dropped: the diagonal blocks B_ii = C_i^dag D_i
+      have rank at most k and sum to I_n, so n <= m * k.
+    - m > kn is replaced by kn, which loses no certificate.  Let U =
+      span{C_i} and V = span{D_j} in the k x n matrices.  Every X^dag Y with
+      X in U and Y in V is a combination of the blocks C_i^dag D_j, so it
+      lies in the span.  The trace condition sum_i C_i^dag D_i = I_n depends
+      only on T = sum_i conj(C_i) (x) D_i, whose tensor rank r is at most
+      dim U <= kn.  So T = sum_{a <= r} conj(C'_a) (x) D'_a with C'_a in U
+      and D'_a in V, and the r pairs (C'_a, D'_a) form a rank-k certificate
+      that zero blocks pad to kn.
+    """
     if m_schedule is None:
         m_schedule = [1, 2, n, n * n]
-    schedule = sorted({m for m in m_schedule if 1 <= m <= max_block_count(n)})
-    if not schedule:
+    capped = [m for m in m_schedule if 1 <= m <= max_block_count(n)]
+    if not capped:
         raise ValueError("empty block-count schedule after applying the cap")
-    return schedule
+    return sorted({min(m, k * n) for m in capped if m * k >= n})
 
 
 def haemers_upper_search(
@@ -675,11 +692,10 @@ def haemers_upper_search(
 ) -> Optional[HaemersCertificate]:
     """Numeric search for a rank-k certificate; only verified output escapes.
 
-    The schedule is validated by block_count_schedule, then cut to the m with
-    m * k >= n: the diagonal blocks B_ii = C_i^dag D_i have rank at most k
-    and sum to I_n, so fewer blocks cannot carry a rank-k certificate.  When
-    no m is left the answer is None, a proof of absence, and no float work
-    starts, so numpy is not loaded.
+    block_count_schedule(n, k, m_schedule) gives the block counts searched,
+    each in [ceil(n/k), kn]: the others carry no rank-k certificate that kn
+    blocks do not.  When none is left the answer is None, a proof of
+    absence, and no float work starts, so numpy is not loaded.
 
     For each remaining block count m, up to ``budget`` restarts run
     alternating least squares on float factors C, D of shape k x mn.  Each
@@ -708,8 +724,7 @@ def haemers_upper_search(
         raise ValueError("rank bound k must be positive")
     if budget < 1:
         raise ValueError(f"restart budget must be positive, got {budget}")
-    # n = rank(sum_i B_ii) <= sum_i rank(B_ii) <= m * k
-    schedule = [m for m in block_count_schedule(s.n, m_schedule) if m * k >= s.n]
+    schedule = block_count_schedule(s.n, k, m_schedule)
     if not schedule:
         return None
     from . import search
@@ -867,7 +882,8 @@ def haemers_bound(
     best fitting matrix.  The float search (haemers_upper_search over
     m_schedule with ``budget`` restarts) then runs only for k from the
     lower bound up to min(k_max, that rank - 1), k_max defaulting to n, and
-    for each k only at the block counts m >= ceil(n / k) of the schedule;
+    for each k at the block counts block_count_schedule(n, k, m_schedule),
+    so the default schedule 1, 2, n, n^2 searches 1, 2, n, kn at most;
     its first certificate wins.  The method names what gave the upper bound:
     "search", "fitting-lift", "identity" or "full-algebra".
 
@@ -879,7 +895,7 @@ def haemers_bound(
     """
     if not s.contains_identity:
         raise ValueError("the span lacks the identity, so it has no certificate")
-    schedule = block_count_schedule(s.n, m_schedule)
+    block_count_schedule(s.n, 1, m_schedule)  # the cap check, before any work
     lower = haemers_lower(s, seed=seed)
     k_max = s.n if k_max is None else k_max
     # construct first; the search can only help below the constructed rank
@@ -889,7 +905,7 @@ def haemers_bound(
         found = haemers_upper_search(
             s,
             k,
-            m_schedule=schedule,
+            m_schedule=m_schedule,
             budget=budget,
             seed=seed,
         )

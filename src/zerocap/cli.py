@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -105,9 +106,16 @@ def _load_config(path: Optional[str]) -> CliConfig:
         kind = {"graph-n-cap": int, "sdp-tol": float}.get(key)
         if kind is None:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        number = kind(value.strip())
+        try:
+            number = kind(value.strip())
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: {key} must be a number, got {value.strip()!r}"
+            ) from None
         if not number > 0:  # nan too
             raise ValueError(f"{path}:{lineno}: {key} must be positive")
+        if not math.isfinite(number):
+            raise ValueError(f"{path}:{lineno}: {key} must be finite")
         setattr(cfg, key.replace("-", "_"), number)  # the CliConfig field
     return cfg
 
@@ -422,6 +430,8 @@ def _cmd_transform_tpmap(args: argparse.Namespace, cfg: CliConfig) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace, cfg: CliConfig) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be positive, got {args.jobs}")
     from .selftest import run_all, run_check  # loaded only for this command
     if args.only:
         results = [run_check(args.only, seed=args.seed)]
@@ -517,7 +527,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = nsub.add_parser("haemers", parents=[common], help="two-sided rank bound")
     p.add_argument("file", help="operator span JSON")
     p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--m-schedule", help="comma-separated block counts, e.g. 1,2,4")
+    p.add_argument("--m-schedule",
+                   help="comma-separated block counts (default 1,2,n,n^2); each k"
+                        " searches them within [ceil(n/k), kn], above kn at kn")
     p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET,
                    help="search restarts per (k, m)")
     p.add_argument("--cert-out", help="certificate path (default <input>-cert.json)")

@@ -15,6 +15,7 @@ from zerocap.certificates import (
     HaemersCertificate,
     TpMapCertificate,
     VerificationError,
+    block_count_schedule,
     cohomomorphism_apply,
     compression_lower_bound,
     conjugate_certificate,
@@ -52,6 +53,7 @@ from zerocap.exactlinalg import (
     ExactMatrix,
     GaussianRational,
     column_blocks,
+    hstack,
     parse_scalar,
     rank_factorization,
 )
@@ -884,10 +886,93 @@ def test_search_answers_are_pinned():
     ]
 
 
-def test_search_at_m_equal_n_squared_on_the_pentagon_span_returns():
-    # 25 blocks of M_5: each half step is a 250 x 250 normal system
+def test_search_past_kn_blocks_runs_at_kn_on_the_pentagon_span(monkeypatch):
+    # m = 25 > kn = 10 at k = 2 in M_5: each half step is a 100 x 100 normal system
+    schedules = []
+    real = search_module.find_certificate
+
+    def recording(s, k, schedule, budget, seed):
+        schedules.append(list(schedule))
+        return real(s, k, schedule, budget, seed)
+
+    monkeypatch.setattr(search_module, "find_certificate", recording)
     c5 = NcGraph.from_graph(cycle_graph(5))
     assert haemers_upper_search(c5, 2, m_schedule=[25], budget=1) is None
+    assert schedules == [[10]]
+
+
+@pytest.mark.parametrize(
+    "n, k, m_schedule, window",
+    [
+        (3, 1, [81, 2, 3], [3]),
+        (4, 3, [1, 2, 13], [2, 12]),
+        (5, 5, None, [1, 2, 5, 25]),
+    ],
+)
+def test_block_count_schedule_keeps_the_window_a_proof_leaves_open(n, k, m_schedule, window):
+    # [ceil(n/k), kn]: below it is dropped, above it is searched at kn
+    assert block_count_schedule(n, k, m_schedule) == window
+
+
+def _split(cert: HaemersCertificate, r: int) -> HaemersCertificate:
+    """cert with each pair (C_i, D_i) repeated r times as (C_i, D_i / r)."""
+    cs, ds = column_blocks(cert.C, cert.n), column_blocks(cert.D, cert.n)
+    return HaemersCertificate(
+        n=cert.n, m=cert.m * r, k=cert.k,
+        C=hstack([c for c in cs for _ in range(r)]),
+        D=hstack([d.scale(Fraction(1, r)) for d in ds for _ in range(r)]),
+    )
+
+
+def _compact(cert: HaemersCertificate) -> HaemersCertificate:
+    """cert rewritten with rank(T) <= kn blocks, for the same span.
+
+    T = sum_i conj(C_i) (x) D_i is the kn x kn matrix C_vec^dag D_vec, where
+    row i of C_vec (D_vec) is C_i (D_i) read row by row.  One exact rank
+    factorization T = P Q gives the new pairs: row a of P^dag and of Q, read
+    back as k x n blocks.  The rows of P^dag lie in span{C_i} and those of Q
+    in span{D_i}, and sum_a P[:, a] Q[a, :] = T keeps the trace condition.
+    """
+    k, n = cert.k, cert.n
+
+    def vec_rows(factor: ExactMatrix) -> ExactMatrix:
+        blocks = column_blocks(factor, n)
+        return ExactMatrix.from_rows(
+            [[blk[a, p] for a in range(k) for p in range(n)] for blk in blocks]
+        )
+
+    def unvec(rows: ExactMatrix) -> ExactMatrix:
+        return ExactMatrix.from_rows(
+            [[rows[j, a * n + p] for j in range(rows.rows) for p in range(n)] for a in range(k)]
+        )
+
+    p, q = rank_factorization(vec_rows(cert.C).conj_transpose() @ vec_rows(cert.D))
+    return HaemersCertificate(n=n, m=q.rows, k=k, C=unvec(p.conj_transpose()), D=unvec(q))
+
+
+@pytest.mark.parametrize(
+    "span, drawn",
+    [
+        pytest.param(corner_family(Fraction(1, 2)), True, id="corner"),
+        pytest.param(diagonal_system(3), True, id="diagonal"),
+        pytest.param(constant_diagonal_system(3), True, id="constant-diagonal"),
+        pytest.param(NcGraph.from_graph(cycle_graph(5)), False, id="pentagon"),
+    ],
+)
+def test_a_certificate_past_kn_blocks_compacts_to_kn(span, drawn):
+    # the claim in block_count_schedule's docstring: kn blocks lose nothing.
+    # The drawn certificates have k = mn = 6; the pentagon's fitting lift k = 3.
+    if drawn:
+        cert = random_certificate(span, 2, np.random.default_rng(5))
+    else:
+        cert, _ = constructed_certificate(span)
+    kn = cert.k * cert.n
+    split = _split(cert, kn // cert.m + 1)
+    assert split.m > kn
+    assert verify_certificate(span, split) <= cert.k
+    compact = _compact(split)
+    assert compact.m <= kn and compact.k == cert.k
+    assert verify_certificate(span, compact) <= cert.k
 
 
 def test_transform_certificates_are_pinned():

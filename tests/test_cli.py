@@ -200,6 +200,21 @@ def _record_search(monkeypatch):
     return calls
 
 
+def _record_find(monkeypatch):
+    """(k, schedule) of every float search, which still runs."""
+    import zerocap.search as search
+
+    calls = []
+    real = search.find_certificate
+
+    def recording(s, k, schedule, budget, seed):
+        calls.append((k, list(schedule)))
+        return real(s, k, schedule, budget, seed)
+
+    monkeypatch.setattr(search, "find_certificate", recording)
+    return calls
+
+
 def test_nc_haemers_pentagon_lifts_the_fitting_matrix(c5_file, tmp_path, capsys):
     span = tmp_path / "c5.json"
     assert main(["nc", "build", "--from-graph", c5_file, "-o", str(span)]) == 0
@@ -249,8 +264,31 @@ def test_nc_haemers_searches_only_below_the_constructed_rank(
     assert calls == [2]
 
 
+@pytest.mark.parametrize(
+    "span, flags, searched",
+    [
+        pytest.param(corner_family(Fraction(1, 2)), [], [(2, [2, 3, 6])], id="corner-default"),
+        pytest.param(corner_family(Fraction(1, 2)), ["--m-schedule", "1,2,50"], [(2, [2, 6])],
+                     id="corner-1,2,50"),
+        pytest.param(NcGraph.from_graph(cycle_graph(5)), [], [(2, [5, 10])],
+                     id="pentagon-default"),
+        pytest.param(NcGraph.from_graph(cycle_graph(5)), ["--m-schedule", "1,2"], [],
+                     id="pentagon-1,2"),
+    ],
+)
+def test_nc_haemers_searches_only_the_block_count_window(
+    span, flags, searched, tmp_path, capsys, monkeypatch
+):
+    # each k searches within [ceil(n/k), kn]; a larger m runs at kn
+    calls = _record_find(monkeypatch)
+    path = _write_span(tmp_path, "span.json", span)
+    _nc_haemers_json(path, tmp_path, capsys, *flags)
+    assert calls == searched
+    assert all(-(-span.n // k) <= m <= k * span.n for k, schedule in calls for m in schedule)
+
+
 def test_nc_haemers_default_schedule_certificate_is_pinned(tmp_path, capsys):
-    # the default schedule 1,2,n,n^2 searches k = 2 up to m = 9 and finds nothing
+    # the default schedule 1,2,n,n^2 searches k = 2 up to m = kn = 6 and finds nothing
     span = _write_span(tmp_path, "corner.json", corner_family(Fraction(1, 2)))
     lower, upper, cert_out = _nc_haemers_json(span, tmp_path, capsys)
     assert [lower, upper["rank"], upper["method"]] == [2, 3, "identity"]
@@ -875,6 +913,22 @@ def test_graph_theta_rejects_a_bad_tolerance(
     assert captured.err.count("error:") == 1 and captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_selftest_rejects_jobs_below_one(jobs, capsys, monkeypatch):
+    import zerocap.selftest as selftest
+
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(selftest, "run_all", no_check)
+    monkeypatch.setattr(selftest, "run_check", no_check)
+    for extra in ([], ["--only", "classical-anchors"]):
+        assert main(["selftest", "paper", "--jobs", jobs, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --jobs must be positive, got {jobs}\n"
+
+
 def test_jobs_is_a_selftest_option_only(c5_file):
     assert cli_module.build_parser().parse_args(
         ["selftest", "paper", "--jobs", "2"]).jobs == 2
@@ -943,6 +997,29 @@ def test_config_rejects_a_nonpositive_value(line, ci2_file, tmp_path, capsys):
     key = line.split("=")[0].strip()
     assert captured.out == ""
     assert captured.err == f"error: {cfg}:2: {key} must be positive\n"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("sdp-tol = inf", "sdp-tol must be finite"),
+        ("sdp-tol = 1e999", "sdp-tol must be finite"),
+        ("graph-n-cap = 0x10", "graph-n-cap must be a number, got '0x10'"),
+        ("graph-n-cap = 2.5", "graph-n-cap must be a number, got '2.5'"),
+        ("sdp-tol = tiny", "sdp-tol must be a number, got 'tiny'"),
+    ],
+)
+def test_config_names_the_line_of_a_bad_number(line, message, c5_file, tmp_path, capsys):
+    cfg = tmp_path / "caps.cfg"
+    cfg.write_text("# caps\n" + line + "\n")
+    for command in ("alpha", "report"):
+        argv = ["graph", command, c5_file, "--config", str(cfg)]
+        if command == "report":
+            argv += ["--cert-dir", str(tmp_path / "certs")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}:2: {message}\n"
 
 
 def test_config_unknown_key_exits_2(c5_file, tmp_path, capsys):
