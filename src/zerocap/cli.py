@@ -284,7 +284,15 @@ def _cmd_nc_build(args: argparse.Namespace, cfg: CliConfig) -> int:
 def _parse_schedule(text: Optional[str]) -> Optional[list[int]]:
     if text is None:
         return None
-    return [int(part) for part in text.split(",") if part.strip()]
+    schedule = []
+    for part in filter(str.strip, text.split(",")):
+        try:
+            schedule.append(int(part))
+        except ValueError:
+            raise ValueError(
+                f"--m-schedule entries must be integers, got {part.strip()!r}"
+            ) from None
+    return schedule
 
 
 def _cmd_nc_haemers(args: argparse.Namespace, cfg: CliConfig) -> int:
@@ -381,9 +389,9 @@ def _cmd_transform_conjugate(args: argparse.Namespace, cfg: CliConfig) -> int:
 def _cmd_transform_cohom(args: argparse.Namespace, cfg: CliConfig) -> int:
     source = _load_ncgraph(args.source)
     target = _load_ncgraph(args.target)
-    channel = QuantumChannel.from_json_dict(_load_json(args.kraus))
+    kraus = QuantumChannel.kraus_from_json_dict(_load_json(args.kraus))
     cert = _load_cert(args.certificate)
-    out = cohomomorphism_apply(list(channel.kraus), cert, source=source, target=target)
+    out = cohomomorphism_apply(kraus, cert, source=source, target=target)
     _write_json(args.output, out.to_json_dict())
     _emit_cert(args, out)
     return 0

@@ -222,12 +222,9 @@ class QuantumChannel:
     def __post_init__(self) -> None:
         if not self.kraus:
             raise ValueError("need at least one Kraus operator")
+        _check_kraus_shapes(self.kraus, self.n_in, self.n_out)
         total = ExactMatrix.zeros(self.n_in, self.n_in)
         for e in self.kraus:
-            if e.shape != (self.n_out, self.n_in):
-                raise ValueError(
-                    f"Kraus shape {e.shape} != ({self.n_out},{self.n_in})"
-                )
             total = total + e.H @ e
         if total != ExactMatrix.identity(self.n_in):
             raise ValueError("Kraus operators do not satisfy sum E^dag E = I")
@@ -241,11 +238,26 @@ class QuantumChannel:
 
     @staticmethod
     def from_json_dict(d: dict) -> "QuantumChannel":
-        return QuantumChannel(
-            require_int(d, "n_in"),
-            require_int(d, "n_out"),
-            tuple(ExactMatrix.from_strings(e) for e in require_list(d, "kraus")),
-        )
+        kraus = QuantumChannel.kraus_from_json_dict(d)
+        return QuantumChannel(d["n_in"], d["n_out"], kraus)
+
+    @staticmethod
+    def kraus_from_json_dict(d: dict) -> tuple[ExactMatrix, ...]:
+        """The operators of a channel file, checked against its n_in and n_out.
+
+        This leaves out the sum E^dag E = I, for callers that hand the
+        operators to a function that builds the channel itself.
+        """
+        n_in, n_out = require_int(d, "n_in"), require_int(d, "n_out")
+        kraus = tuple(ExactMatrix.from_strings(e) for e in require_list(d, "kraus"))
+        _check_kraus_shapes(kraus, n_in, n_out)
+        return kraus
+
+
+def _check_kraus_shapes(kraus: Sequence[ExactMatrix], n_in: int, n_out: int) -> None:
+    for e in kraus:
+        if e.shape != (n_out, n_in):
+            raise ValueError(f"Kraus shape {e.shape} != ({n_out},{n_in})")
 
 
 @dataclass(frozen=True)
@@ -374,6 +386,21 @@ def corner_family(c: Fraction) -> NcGraph:
     is the identity.  Its semidefinite relaxation value has the closed
     form 2 + c + 1/c (see corner_family_reference), always at least 4,
     while the exact rank bound of the family is at most 3.
+
+    For 0 < c < 1 the bound is exactly 3.  Take a certificate B in M_m(S)
+    with sum_i B_ii = I_3.  Every element of S is zero off the
+    coordinates {1, 3} x {1, 3} and (2, 2), so B splits as B_13 + B_2,
+    with B_13 the 2m x 2m part on coordinates 1 and 3 of each block and
+    B_2 the m x m part on coordinate 2; rank B = rank B_13 + rank B_2.
+    Let P and Q be the m x m parts on coordinates 1 and 3.  Every element
+    of S has its (2, 2) entry equal to c times its (1, 1) entry plus
+    (1 - c) times its (3, 3) entry, so B_2 = cP + (1 - c)Q, and the trace
+    conditions give tr P = tr Q = tr B_2 = 1.  So B_13 and B_2 are
+    nonzero, and rank B >= 3 unless rank B_13 = 1.  In that case
+    B_13 = u w^T; split u into u_1, u_3 and w into w_1, w_3 by coordinate
+    and set U = [u_1 u_3], W = [w_1 w_3].  The four trace conditions on
+    coordinates {1, 3} read W^T U = I_2, and B_2 = U diag(c, 1 - c) W^T,
+    so rank B_2 >= rank(W^T B_2 U) = rank diag(c, 1 - c) = 2.
     """
     c = Fraction(c)
     if not 0 < c <= 1:

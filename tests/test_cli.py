@@ -575,6 +575,15 @@ def test_nc_haemers_rejects_a_schedule_with_no_usable_block_count(
     assert calls == [] and not cert_out.exists()
 
 
+def test_nc_haemers_names_a_non_integer_schedule_entry(tmp_path, capsys):
+    span = _write_span(tmp_path, "sc5.json", NcGraph.from_graph(cycle_graph(5)))
+    cert_out = tmp_path / "cert.json"
+    assert main(["nc", "haemers", span, "--m-schedule", "1,x",
+                 "--cert-out", str(cert_out)]) == 2
+    assert capsys.readouterr().err == "error: --m-schedule entries must be integers, got 'x'\n"
+    assert not cert_out.exists()
+
+
 def test_nc_verify_cert_ok(ci2_file, tmp_path, capsys):
     cert_path = _write_cert(tmp_path, "id2.json", identity_certificate(2))
     assert main(["nc", "verify-cert", ci2_file, cert_path]) == 0
@@ -809,6 +818,35 @@ def test_transform_cohom_pulls_a_certificate_back(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out3.exists()
+
+
+def test_transform_cohom_checks_the_kraus_family_once(tmp_path, capsys, monkeypatch):
+    kraus = independent_witness_kraus(IndependentSystem.standard_basis(5, [0, 2]))
+    doc = QuantumChannel(2, 5, tuple(kraus)).to_json_dict()
+    channel = _write_json(tmp_path, "ch.json", doc)
+    target = _write_span(tmp_path, "sc5.json", NcGraph.from_graph(cycle_graph(5)))
+    source = _write_span(tmp_path, "d2.json", diagonal_system(2))
+    cert = _write_cert(tmp_path, "id5.json", identity_certificate(5))
+    built = []
+    check = QuantumChannel.__post_init__
+
+    def counted_check(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(QuantumChannel, "__post_init__", counted_check)
+    argv = ["nc", "transform", "cohom", cert, "--source", source, "--target", target,
+            "-o", str(tmp_path / "pulled.json"), "--kraus"]
+    assert main([*argv, channel]) == 0
+    assert len(built) == 1
+    capsys.readouterr()
+    # a non-channel and a file whose operators miss its n_in keep their messages
+    halved = dict(doc, kraus=[[[f"{x}/2" for x in row] for row in op] for op in doc["kraus"]])
+    misdeclared = dict(doc, n_in=3)
+    for bad, message in ((halved, "Kraus operators do not satisfy sum E^dag E = I"),
+                         (misdeclared, "Kraus shape (5, 2) != (5,3)")):
+        assert main([*argv, _write_json(tmp_path, "bad.json", bad)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_transform_lift_project_round_trip(c5_file, tmp_path, capsys):

@@ -167,6 +167,40 @@ def test_alpha_results_are_pinned():
     )
 
 
+@pytest.mark.parametrize("n, cap, size, witness", [
+    (5, 64, 5, [0, 7, 14, 16, 23]),
+    (7, 64, 10, [0, 2, 11, 14, 16, 25, 29, 34, 38, 47]),
+    (9, 81, 18, [0, 2, 13, 15, 19, 26, 30, 32, 36, 43, 47, 49, 60, 62, 64, 66, 77, 79]),
+])
+def test_alpha_of_odd_cycle_squares_is_pinned(n, cap, size, witness):
+    # the witnesses of the search without Russian-doll bounds
+    g = strong_product(cycle_graph(n), cycle_graph(n))
+    assert independence_number(g, vertex_cap=cap) == (size, witness)
+
+
+def test_alpha_of_the_c9_square_is_18_by_an_independent_argument():
+    c9 = cycle_graph(9)
+    sq = strong_product(c9, c9)
+    # at least 18: rows i hold columns 2i and 2i + 4, every pair at distance >= 2
+    code = [i * 9 + (2 * i + shift) % 9 for i in range(9) for shift in (0, 4)]
+    assert len(set(code)) == 18
+    assert not any(sq.has_edge(a, b) for a, b in itertools.combinations(code, 2))
+    # at most 18: an independent set meets the rows {i, i + 1} in at most
+    # alpha of their induced graph; each row lies in two such pairs
+    pair_bound = 0
+    for i in range(9):
+        rows = [r * 9 + c for r in (i, (i + 1) % 9) for c in range(9)]
+        induced = Graph.from_edges(18, [
+            (a, b) for a, b in itertools.combinations(range(18), 2)
+            if sq.has_edge(rows[a], rows[b])
+        ])
+        pair_bound += alpha_bruteforce(induced)
+    assert pair_bound // 2 == 18
+    size, witness = independence_number(sq, vertex_cap=81)
+    assert size == len(witness) == 18
+    assert not any(sq.has_edge(a, b) for a, b in itertools.combinations(witness, 2))
+
+
 def test_greedy_clique_cover_partitions_the_candidates_into_cliques():
     rng = random.Random(17)
     for _ in range(200):
