@@ -194,11 +194,17 @@ def random_fitting_matrix(g: Graph, rng, variant: str = "unit-diagonal") -> Fitt
 
 @dataclass(frozen=True)
 class ClassicalBounds:
-    """The classical sandwich for one graph, with verified witnesses."""
+    """The classical sandwich for one graph, with verified witnesses.
+
+    theta is the midpoint of theta_bracket, the (lower, upper) bracket the
+    solver proved whether or not it converged to its tolerance.
+    """
 
     graph: Graph
     alpha: int
     theta: float
+    theta_bracket: tuple[float, float]
+    theta_converged: bool
     haemers_lower: int
     haemers_lower_reason: str
     haemers_upper: int
@@ -212,6 +218,8 @@ class ClassicalBounds:
             "graph": self.graph.to_json_dict(),
             "alpha": self.alpha,
             "theta": self.theta,
+            "theta_bracket": list(self.theta_bracket),
+            "theta_converged": self.theta_converged,
             "haemers_lower": self.haemers_lower,
             "haemers_lower_reason": self.haemers_lower_reason,
             "haemers_upper": self.haemers_upper,
@@ -268,7 +276,8 @@ def bounds_report(
     Gram fitting matrix (best_fitting_matrix).
     """
     alpha, _ = independence_number(g, power_cap)
-    theta = lovasz_theta(g, tol=theta_tol).value
+    sol = lovasz_theta(g, tol=theta_tol)
+    theta = sol.value
 
     lower, reason = alpha, "independence number"
     if g.n * g.n <= power_cap:
@@ -287,6 +296,8 @@ def bounds_report(
         graph=g,
         alpha=alpha,
         theta=theta,
+        theta_bracket=(float(sol.lower_bound), float(sol.upper_bound)),
+        theta_converged=bool(sol.converged),
         haemers_lower=lower,
         haemers_lower_reason=reason,
         haemers_upper=upper,

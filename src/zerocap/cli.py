@@ -41,6 +41,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -63,6 +64,7 @@ from .certificates import (
     verify_xi_certificate,
 )
 from .classical import (
+    ClassicalBounds,
     FittingMatrix,
     bounds_report,
     orthogonal_rank_verify,
@@ -196,6 +198,16 @@ def _cmd_graph_power(args: argparse.Namespace, cfg: CliConfig) -> int:
     return 0
 
 
+def _theta_provenance(value: float, report: ClassicalBounds) -> str:
+    """'numeric±e' for the printed value: e is one digit times a power of ten,
+    rounded up so that the whole proved bracket lies within value ± e."""
+    lower, upper = (Fraction(t) for t in report.theta_bracket)
+    err = max(abs(Fraction(value) - lower), abs(upper - Fraction(value)))
+    exp = math.floor(math.log10(err)) if err else 0
+    bound = math.ceil(err / Fraction(10) ** exp) * 10.0**exp
+    return f"numeric±{bound:g}" + ("" if report.theta_converged else " (not converged)")
+
+
 def _cmd_graph_report(args: argparse.Namespace, cfg: CliConfig) -> int:
     g = _load_graph(args.file)
     report = bounds_report(g, theta_tol=cfg.sdp_tol, power_cap=cfg.graph_n_cap)
@@ -225,9 +237,10 @@ def _cmd_graph_report(args: argparse.Namespace, cfg: CliConfig) -> int:
     ]
     xi_rank = orthogonal_rank_verify(g, vectors)
 
+    theta = round(report.theta, 7)
     rows = [
         ("alpha", report.alpha, "exact"),
-        ("theta", round(report.theta, 7), f"numeric±{cfg.sdp_tol:g}"),
+        ("theta", theta, _theta_provenance(theta, report)),
         ("haemers-lower", report.haemers_lower, "lower-bound"),
         ("haemers-upper", fitting_rank, f"certificate:{fitting_path}"),
         ("xi-upper", xi_rank, f"certificate:{representation_path}"),

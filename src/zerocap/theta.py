@@ -32,6 +32,8 @@ if TYPE_CHECKING:
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITER = 500
+# Edge rows of the Schur matrix filled at a time: a block's temporaries stay in cache.
+_SCHUR_BLOCK = 64
 
 
 @dataclass
@@ -59,6 +61,34 @@ def _step(li: np.ndarray, d: np.ndarray) -> float:
     import numpy as np
     lam = np.linalg.eigvalsh(li @ d @ li.T)[0]
     return 1.0 if lam >= -0.95 else -0.95 / lam
+
+
+def _schur(x: np.ndarray, w: np.ndarray, ei: np.ndarray, ej: np.ndarray) -> np.ndarray:
+    """The Schur matrix M_kl = tr(A_k X A_l W) of A_0 = I and the edges (ei, ej).
+
+    For edges a = ij and b = kl the entry is X_jk W_il + X_li W_kj + X_jl W_ik
+    + X_ik W_jl, summed left to right as the one-shot assembly of the whole
+    matrix sums its four terms, so the two agree element by element even
+    when W is not exactly symmetric.  The edge rows are filled _SCHUR_BLOCK
+    at a time from row gathers of (n x m) column gathers of X, W, X^T and
+    W^T, so that every temporary is one block of rows.
+    """
+    import numpy as np
+    m = len(ei)
+    schur = np.empty((m + 1, m + 1))
+    schur[0, 0] = np.sum(x * w)
+    xw = x @ w
+    schur[0, 1:] = schur[1:, 0] = xw[ei, ej] + xw[ej, ei]
+    xci, xcj, wci, wcj = x[:, ei], x[:, ej], w[:, ei], w[:, ej]
+    xtcj, wtci = x.T[:, ej], w.T[:, ei]
+    for start in range(0, m, _SCHUR_BLOCK):
+        bi, bj = ei[start:start + _SCHUR_BLOCK], ej[start:start + _SCHUR_BLOCK]
+        rows = schur[1 + start:1 + start + len(bi), 1:]
+        np.multiply(xci[bj], wcj[bi], out=rows)
+        rows += xtcj[bi] * wtci[bj]
+        rows += xcj[bj] * wci[bi]
+        rows += xci[bi] * wcj[bj]
+    return schur
 
 
 def lovasz_theta(g: Graph, tol: float = DEFAULT_TOL) -> SdpSolution:
@@ -111,16 +141,8 @@ def lovasz_theta(g: Graph, tol: float = DEFAULT_TOL) -> SdpSolution:
         if upper - lower <= gap_target or iterations >= DEFAULT_MAX_ITER:
             break
         lix, liz = np.linalg.inv(lx), np.linalg.inv(lz)
-        w = liz.T @ liz
-        # Schur matrix M_kl = tr(A_k X A_l W), W = Z^{-1}; for edges ij, kl
-        # it is X_jk W_il + X_il W_jk + X_jl W_ik + X_ik W_jl.
-        schur = np.empty((m + 1, m + 1))
-        schur[0, 0] = np.sum(x * w)
-        xw = x @ w
-        schur[0, 1:] = schur[1:, 0] = xw[ei, ej] + xw[ej, ei]
-        xi, xj, wi, wj = x[ei], x[ej], w[ei], w[ej]
-        cross = xj[:, ei] * wi[:, ej]
-        schur[1:, 1:] = cross + cross.T + xj[:, ej] * wi[:, ei] + xi[:, ei] * wj[:, ej]
+        w = liz.T @ liz  # Z^{-1}
+        schur = _schur(x, w, ei, ej)
         residual = b - adj(x)
 
         # HKM direction towards R: dX = sym(R - X dZ W) with dZ = op(dy), and

@@ -193,6 +193,15 @@ def test_bounds_report_json():
     assert FittingMatrix.from_json_dict(d["fitting"])
 
 
+def test_bounds_report_carries_the_theta_bracket():
+    rep = bounds_report(cycle_graph(5))
+    lower, upper = rep.theta_bracket
+    assert lower <= rep.theta <= upper and upper - lower <= 1e-7
+    assert lower <= 5**0.5 <= upper and rep.theta_converged
+    d = json.loads(json.dumps(rep.to_json_dict()))
+    assert d["theta_bracket"] == [lower, upper] and d["theta_converged"] is True
+
+
 def _digest(obj):
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 

@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -35,11 +36,12 @@ from zerocap.classical import (
     verify_fitting,
 )
 from zerocap.cli import main
-from zerocap.graphs import Graph, cycle_graph
+from zerocap.graphs import Graph, cycle_graph, random_graph
 from zerocap.groebner import DEFAULT_TIME_BUDGET, buchberger
 import zerocap.cli as cli_module
 from zerocap.exactlinalg import ExactMatrix
 from zerocap.independence import IndependentSystem
+from zerocap.theta import lovasz_theta
 from zerocap.ncgraph import (
     ClassicalChannel,
     NcGraph,
@@ -133,6 +135,30 @@ def test_graph_report_re_verifies_from_disk(c5_file, tmp_path, capsys):
     path = rows["haemers-upper"][1].split("certificate:", 1)[1]
     fm = FittingMatrix.from_json_dict(json.loads(open(path).read()))
     assert verify_fitting(fm) == 3
+
+
+@pytest.mark.parametrize(
+    "graph, tol, note",
+    [(cycle_graph(5), 1e-7, ""),
+     (random_graph(40, 0.5, random.Random(1)), 1e-9, " (not converged)")],
+    ids=["c5", "g40-unconverged"],
+)
+def test_graph_report_theta_error_covers_the_bracket(graph, tol, note, tmp_path, capsys):
+    # At sdp-tol 1e-9 the G(40, 1/2) solve stops unconverged, and the value
+    # rounded to 7 decimals lies about 2e-8 from either end of its bracket.
+    path, cfg = tmp_path / "g.dimacs", tmp_path / "caps.cfg"
+    path.write_text(graph.to_text())
+    cfg.write_text(f"sdp-tol = {tol}\n")
+    argv = ["graph", "report", str(path), "--cert-dir", str(tmp_path / "certs"), "--json"]
+    assert main([*argv, "--config", str(cfg)]) == 0
+    rows = {name: (value, prov) for name, value, prov in json.loads(capsys.readouterr().out)["rows"]}
+    value, provenance = rows["theta"]
+    assert provenance.startswith("numeric±") and provenance.endswith(note)
+    stated = Fraction(provenance.removeprefix("numeric±").removesuffix(note))
+    sol = lovasz_theta(graph, tol=tol)
+    assert sol.converged == (not note)
+    for end in (sol.lower_bound, sol.upper_bound):
+        assert abs(Fraction(value) - Fraction(end)) <= stated
 
 
 def test_graph_report_c7_closes_at_the_clique_cover(tmp_path, capsys):

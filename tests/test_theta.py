@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from zerocap.graphs import (
     random_graph,
     strong_product,
 )
-from zerocap.theta import lovasz_theta
+from zerocap.theta import _SCHUR_BLOCK, _schur, lovasz_theta
 
 
 def check_witness(g, sol, tol):
@@ -118,6 +119,52 @@ def test_theta_on_a_random_40_vertex_graph():
     # on any machine: a slide back to a slow solver fails here.
     assert sol.iterations <= 40
     check_witness(g, sol, 1e-6)
+
+
+def test_theta_memory_stays_within_four_schur_matrices():
+    # Memory guard beside the work guard, in bytes rather than seconds:
+    # numpy's allocation sizes follow from the shapes, so the traced peak is
+    # the same on any machine.
+    g = g40()
+    m = len(g.edges)
+    lovasz_theta(g)
+    tracemalloc.start()
+    try:
+        lovasz_theta(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (m + 1) ** 2 * 8
+
+
+def _schur_reference(x, w, ei, ej):
+    """The one-shot assembly: each term an m x m array, summed at once."""
+    m = len(ei)
+    schur = np.empty((m + 1, m + 1))
+    schur[0, 0] = np.sum(x * w)
+    xw = x @ w
+    schur[0, 1:] = schur[1:, 0] = xw[ei, ej] + xw[ej, ei]
+    xi, xj, wi, wj = x[ei], x[ej], w[ei], w[ej]
+    cross = xj[:, ei] * wi[:, ej]
+    schur[1:, 1:] = cross + cross.T + xj[:, ej] * wi[:, ei] + xi[:, ei] * wj[:, ej]
+    return schur
+
+
+@pytest.mark.parametrize(
+    "m", [0, 1, _SCHUR_BLOCK - 1, _SCHUR_BLOCK, _SCHUR_BLOCK + 1, 378]
+)
+def test_schur_blocks_equal_the_one_shot_assembly(m):
+    edges = g40().sorted_edges()
+    assert len(edges) == 378
+    ei = np.array([e[0] for e in edges[:m]], dtype=int)
+    ej = np.array([e[1] for e in edges[:m]], dtype=int)
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((40, 40))
+    x = a + a.T
+    # W = Z^{-1} as an inverse returns it, not exactly symmetric
+    w = np.linalg.inv(a @ a.T + 40 * np.eye(40))
+    assert not np.array_equal(w, w.T)
+    assert np.array_equal(_schur(x, w, ei, ej), _schur_reference(x, w, ei, ej))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
